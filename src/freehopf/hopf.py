@@ -15,16 +15,29 @@ Structure maps on a letter x[i,j;r]:
   antipode     S(x[i,j;r]) = x[j,i;r+1], extended as an anti-homomorphism
 
 Single-word coproducts and normal forms have integer coefficients, so they
-are cached per (n, domain) and shared across coefficient fields.
+are cached per (n, domain) and shared across coefficient fields.  So are
+the Hopf-axiom residuals: verify_axioms computes them once over Z per
+(n, variant, max_len, window), keeps the gcd of each residual's
+coefficients, and projects that gcd to each field.
 """
 
 from itertools import product as iproduct
+from math import gcd
 
 from .fields import Field, FieldScalar
 from .rewrite import rules_for
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
 _DELTA_CACHES = {}
+
+# Integer axiom residuals per (algebra type, RuleSet, max_len, window); each
+# entry holds a word count and the words with a nonzero residual gcd.
+_RESIDUAL_CACHE = {}
+
+AXIOMS = (
+    "coassociativity", "counit_left", "counit_right",
+    "antipode_left", "antipode_right", "anti_coalgebra",
+)
 
 
 def parse_variant(token):
@@ -269,94 +282,104 @@ class FreeHopfAlgebra:
           antipode_left/right sum S(w1)w2 = eps(w)1 = sum w1 S(w2)
           anti_coalgebra      Delta(S(w)) = twist (S(x)S) Delta(w)
           antipode_order      S^(2d)(w) = w   (ord variant only)
+
+        Both sides of every axiom have integer coefficients, so the
+        residuals are computed once over Z per (n, variant, max_len, window)
+        and shared by all fields: a word fails an axiom over GF(p) iff p
+        does not divide the gcd g of the residual's coefficients (over Q,
+        iff g != 0).
         """
-        p = self.field.characteristic
-
-        def same(m1, m2):
-            for key in m1.keys() | m2.keys():
-                d = m1.get(key, 0) - m2.get(key, 0)
-                if d % p if p else d:
-                    return False
-            return True
-
-        names = [
-            "coassociativity", "counit_left", "counit_right",
-            "antipode_left", "antipode_right", "anti_coalgebra",
-        ]
-        order = self.antipode_order_bound
-        if order:
+        names = list(AXIOMS)
+        if self.antipode_order_bound:
             names.append("antipode_order")
+        words_checked, residues = self._integer_residuals(max_len, levels)
+        p = self.field.characteristic
         failures = {name: 0 for name in names}
         examples = {name: [] for name in names}
-
-        def fail(name, w):
-            failures[name] += 1
-            if len(examples[name]) < max_examples:
-                examples[name].append(word_str(w))
-
-        words = self.basis_words(max_len, levels)
-        nf = self.rules.normal_form_word
-        for w in words:
-            dw = self.delta_word(w)
-            left, right = {}, {}
-            cl, cr = {}, {}
-            conv_l, conv_r = {}, {}
-            for (a, b), k in dw.items():
-                for (x, y), k2 in self.delta_word(a).items():
-                    key = (x, y, b)
-                    left[key] = left.get(key, 0) + k * k2
-                for (x, y), k2 in self.delta_word(b).items():
-                    key = (a, x, y)
-                    right[key] = right.get(key, 0) + k * k2
-                if self.counit_word(a):
-                    cl[b] = cl.get(b, 0) + k
-                if self.counit_word(b):
-                    cr[a] = cr.get(a, 0) + k
-                for t, c in self.antipode_int({a: 1}).items():
-                    for t2, c2 in nf(t + b).items():
-                        conv_l[t2] = conv_l.get(t2, 0) + k * c * c2
-                for t, c in self.antipode_int({b: 1}).items():
-                    for t2, c2 in nf(a + t).items():
-                        conv_r[t2] = conv_r.get(t2, 0) + k * c * c2
-            if not same(left, right):
-                fail("coassociativity", w)
-            if not same(cl, {w: 1}):
-                fail("counit_left", w)
-            if not same(cr, {w: 1}):
-                fail("counit_right", w)
-            eps = {UNIT: self.counit_word(w)}
-            if not same(conv_l, eps):
-                fail("antipode_left", w)
-            if not same(conv_r, eps):
-                fail("antipode_right", w)
-            lhs = {}
-            for t, c in self.antipode_int({w: 1}).items():
-                for pair, k in self.delta_word(t).items():
-                    lhs[pair] = lhs.get(pair, 0) + c * k
-            rhs = {}
-            for (a, b), k in dw.items():
-                sa = self.antipode_int({a: 1})
-                sb = self.antipode_int({b: 1})
-                for ta, ca in sa.items():
-                    for tb, cb in sb.items():
-                        key = (tb, ta)
-                        rhs[key] = rhs.get(key, 0) + k * ca * cb
-            if not same(lhs, rhs):
-                fail("anti_coalgebra", w)
-            if order and not same(self.antipode_int({w: 1}, order), {w: 1}):
-                fail("antipode_order", w)
+        for w, gcds in residues:
+            for name, g in zip(names, gcds):
+                if g % p if p else g:
+                    failures[name] += 1
+                    if len(examples[name]) < max_examples:
+                        examples[name].append(word_str(w))
 
         residuals = sum(failures.values())
         return {
             "config": self.describe(),
             "max_len": max_len,
             "levels": list(levels) if levels else None,
-            "words_checked": len(words),
+            "words_checked": words_checked,
             "failures": failures,
             "failure_examples": {k: v for k, v in examples.items() if v},
             "residuals": residuals,
             "ok": residuals == 0,
         }
+
+    def _integer_residuals(self, max_len, levels):
+        """(words_checked, [(w, gcds), ...]): for each basis word, in basis
+        order, the gcds of the integer residual of each axiom, kept only for
+        words with some nonzero gcd.  Cached per (type, RuleSet, max_len,
+        window), so a subclass with other structure maps has its own entry."""
+        cache_key = (type(self), self.rules, max_len, tuple(levels) if levels else None)
+        hit = _RESIDUAL_CACHE.get(cache_key)
+        if hit is not None:
+            return hit
+        nf = self.rules.normal_form_word
+        delta = self.delta_word
+        counit = self.counit_word
+        order = self.antipode_order_bound
+        images = {}
+
+        def anti(a):
+            s = images.get(a)
+            if s is None:
+                s = images[a] = self.antipode_int({a: 1})
+            return s
+
+        words = self.basis_words(max_len, levels)
+        residues = []
+        for w in words:
+            # each map accumulates lhs - rhs of one axiom
+            coassoc = {}
+            cl, cr = {w: -1}, {w: -1}
+            eps = counit(w)
+            conv_l, conv_r = {UNIT: -eps}, {UNIT: -eps}
+            anti_co = {}
+            for (a, b), k in delta(w).items():
+                for (x, y), k2 in delta(a).items():
+                    key = (x, y, b)
+                    coassoc[key] = coassoc.get(key, 0) + k * k2
+                for (x, y), k2 in delta(b).items():
+                    key = (a, x, y)
+                    coassoc[key] = coassoc.get(key, 0) - k * k2
+                if counit(a):
+                    cl[b] = cl.get(b, 0) + k
+                if counit(b):
+                    cr[a] = cr.get(a, 0) + k
+                sa, sb = anti(a), anti(b)
+                for t, c in sa.items():
+                    for t2, c2 in nf(t + b).items():
+                        conv_l[t2] = conv_l.get(t2, 0) + k * c * c2
+                for t, c in sb.items():
+                    for t2, c2 in nf(a + t).items():
+                        conv_r[t2] = conv_r.get(t2, 0) + k * c * c2
+                for ta, ca in sa.items():
+                    for tb, cb in sb.items():
+                        key = (tb, ta)
+                        anti_co[key] = anti_co.get(key, 0) - k * ca * cb
+            for t, c in anti(w).items():
+                for pair, k in delta(t).items():
+                    anti_co[pair] = anti_co.get(pair, 0) + c * k
+            maps = [coassoc, cl, cr, conv_l, conv_r, anti_co]
+            if order:
+                periodic = dict(self.antipode_int({w: 1}, order))
+                periodic[w] = periodic.get(w, 0) - 1
+                maps.append(periodic)
+            gcds = tuple(gcd(*m.values()) for m in maps)
+            if any(gcds):
+                residues.append((w, gcds))
+        hit = _RESIDUAL_CACHE[cache_key] = (len(words), residues)
+        return hit
 
 
 class Element:

@@ -18,9 +18,14 @@ from .words import UNIT, letter
 
 
 class ParseError(ValueError):
-    def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
+    """Malformed input: position is the offset into element text, path the
+    JSON path (such as $.elements[0][1].c) into a document."""
+
+    def __init__(self, message, position=None, path=None):
+        where = path if position is None else "position %d" % position
+        super().__init__("%s (at %s)" % (message, where))
         self.position = position
+        self.path = path
 
 
 class _Cursor:
@@ -130,8 +135,13 @@ def parse_element(text, H):
         sign = -1 if ch == "-" else 1
         cur.pos += 1
     while True:
+        cur.skip()
+        at = cur.pos
         word, coeff = _parse_term(cur, H)
-        terms.append((word, H.field.scalar(sign * coeff)))
+        try:
+            terms.append((word, H.field.scalar(sign * coeff)))
+        except ZeroDivisionError as exc:
+            raise ParseError(str(exc), at) from None
         if cur.done():
             break
         ch = cur.peek()
@@ -171,17 +181,60 @@ def _check_config(H, obj):
             )
 
 
-def _terms_from_obj(H, items):
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer",
+               float: "a number", str: "a string"}
+
+
+def _json_kind(value):
+    if isinstance(value, bool):
+        return "a boolean"
+    return _JSON_KINDS.get(type(value), "null")
+
+
+def _expect(value, kind, path):
+    """value, if it is a JSON value of the given Python type (bools are
+    not integers here); ParseError at path otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError("expected %s, got %s" % (_JSON_KINDS[kind], _json_kind(value)),
+                         path=path)
+    return value
+
+
+def _member(obj, key, path):
+    if key not in _expect(obj, dict, path):
+        raise ParseError("missing key %r" % key, path=path)
+    return obj[key]
+
+
+def _terms_from_obj(H, items, path):
+    """(word, scalar) pairs of a term list [{"c": ..., "w": [[i, j, r], ...]}]."""
     out = []
-    for t in items:
-        w = tuple(tuple(int(v) for v in l) for l in t["w"])
-        out.append((w, H.field.scalar(str(t["c"]))))
+    for k, t in enumerate(_expect(items, list, path)):
+        at = "%s[%d]" % (path, k)
+        w = []
+        for m, l in enumerate(_expect(_member(t, "w", at), list, at + ".w")):
+            lat = "%s.w[%d]" % (at, m)
+            if len(_expect(l, list, lat)) != 3:
+                raise ParseError("expected a letter [i, j, r]", path=lat)
+            i, j, r = (_expect(v, int, "%s[%d]" % (lat, q)) for q, v in enumerate(l))
+            try:
+                w.append(letter(H.n, H.domain, i, j, r))
+            except ValueError as exc:
+                raise ParseError(str(exc), path=lat) from None
+        c = _member(t, "c", at)
+        if isinstance(c, bool) or not isinstance(c, (str, int, float)):
+            raise ParseError("expected a coefficient string, got %s" % _json_kind(c),
+                             path=at + ".c")
+        try:
+            out.append((tuple(w), H.field.scalar(str(c))))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(str(exc), path=at + ".c") from None
     return out
 
 
 def element_from_obj(H, obj):
-    _check_config(H, obj)
-    return H.element(_terms_from_obj(H, obj["terms"]))
+    _check_config(H, _expect(obj, dict, "$"))
+    return H.element(_terms_from_obj(H, _member(obj, "terms", "$"), "$.terms"))
 
 
 def tensor_to_obj(t):
@@ -204,17 +257,24 @@ def tensor_to_obj(t):
 def span_from_obj(H, obj):
     """Elements of a span document: {"elements": [termlist, ...]} plus the
     optional config keys field/variant/n, which must match H when present."""
-    _check_config(H, obj)
-    return [H.element(_terms_from_obj(H, items)) for items in obj["elements"]]
+    _check_config(H, _expect(obj, dict, "$"))
+    elements = _expect(_member(obj, "elements", "$"), list, "$.elements")
+    return [
+        H.element(_terms_from_obj(H, items, "$.elements[%d]" % k))
+        for k, items in enumerate(elements)
+    ]
 
 
 def images_from_obj(H, obj):
     """An n x n family of elements: {"images": [[termlist, ...], ...]}."""
-    _check_config(H, obj)
-    images = obj["images"]
+    _check_config(H, _expect(obj, dict, "$"))
+    images = _expect(_member(obj, "images", "$"), list, "$.images")
+    for k, row in enumerate(images):
+        _expect(row, list, "$.images[%d]" % k)
     if len(images) != H.n or any(len(row) != H.n for row in images):
-        raise ValueError("expected an %d x %d images array" % (H.n, H.n))
+        raise ParseError("expected an %d x %d images array" % (H.n, H.n), path="$.images")
     return [
-        [H.element(_terms_from_obj(H, cell)) for cell in row]
-        for row in images
+        [H.element(_terms_from_obj(H, cell, "$.images[%d][%d]" % (k, m)))
+         for m, cell in enumerate(row)]
+        for k, row in enumerate(images)
     ]

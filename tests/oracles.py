@@ -2,11 +2,16 @@
 
 Everything here is deliberately written from first principles with naive
 algorithms (generate-and-filter enumeration, dense Gaussian elimination)
-and does not call into the package's rewrite or linalg internals.
+and does not call into the package's rewrite or linalg internals, except
+oracle_verify_axioms, which checks the field projection of the integer
+axiom residuals against a per-field comparison built on the package's
+structure maps.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
+
+from freehopf.words import UNIT, word_str
 
 
 def make_up(kind, modulus):
@@ -97,3 +102,102 @@ def oracle_rank_p(rows, p):
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def oracle_verify_axioms(H, max_len, levels=None, max_examples=5):
+    """The Hopf-axiom report of H.verify_axioms, computed per field: every
+    axiom's two sides are built as integer maps for each basis word and
+    compared coefficient by coefficient modulo the characteristic, with no
+    caching and no gcds.
+
+    Uses the package's H.delta_word, H.antipode_int and
+    H.rules.normal_form_word for the structure maps, so it checks the
+    residual bookkeeping and the field projection, not the maps themselves.
+    """
+    p = H.field.characteristic
+
+    def same(m1, m2):
+        for key in m1.keys() | m2.keys():
+            d = m1.get(key, 0) - m2.get(key, 0)
+            if d % p if p else d:
+                return False
+        return True
+
+    names = [
+        "coassociativity", "counit_left", "counit_right",
+        "antipode_left", "antipode_right", "anti_coalgebra",
+    ]
+    order = H.antipode_order_bound
+    if order:
+        names.append("antipode_order")
+    failures = {name: 0 for name in names}
+    examples = {name: [] for name in names}
+
+    def fail(name, w):
+        failures[name] += 1
+        if len(examples[name]) < max_examples:
+            examples[name].append(word_str(w))
+
+    words = H.basis_words(max_len, levels)
+    nf = H.rules.normal_form_word
+    for w in words:
+        dw = H.delta_word(w)
+        left, right = {}, {}
+        cl, cr = {}, {}
+        conv_l, conv_r = {}, {}
+        for (a, b), k in dw.items():
+            for (x, y), k2 in H.delta_word(a).items():
+                key = (x, y, b)
+                left[key] = left.get(key, 0) + k * k2
+            for (x, y), k2 in H.delta_word(b).items():
+                key = (a, x, y)
+                right[key] = right.get(key, 0) + k * k2
+            if H.counit_word(a):
+                cl[b] = cl.get(b, 0) + k
+            if H.counit_word(b):
+                cr[a] = cr.get(a, 0) + k
+            for t, c in H.antipode_int({a: 1}).items():
+                for t2, c2 in nf(t + b).items():
+                    conv_l[t2] = conv_l.get(t2, 0) + k * c * c2
+            for t, c in H.antipode_int({b: 1}).items():
+                for t2, c2 in nf(a + t).items():
+                    conv_r[t2] = conv_r.get(t2, 0) + k * c * c2
+        if not same(left, right):
+            fail("coassociativity", w)
+        if not same(cl, {w: 1}):
+            fail("counit_left", w)
+        if not same(cr, {w: 1}):
+            fail("counit_right", w)
+        eps = {UNIT: H.counit_word(w)}
+        if not same(conv_l, eps):
+            fail("antipode_left", w)
+        if not same(conv_r, eps):
+            fail("antipode_right", w)
+        lhs = {}
+        for t, c in H.antipode_int({w: 1}).items():
+            for pair, k in H.delta_word(t).items():
+                lhs[pair] = lhs.get(pair, 0) + c * k
+        rhs = {}
+        for (a, b), k in dw.items():
+            sa = H.antipode_int({a: 1})
+            sb = H.antipode_int({b: 1})
+            for ta, ca in sa.items():
+                for tb, cb in sb.items():
+                    key = (tb, ta)
+                    rhs[key] = rhs.get(key, 0) + k * ca * cb
+        if not same(lhs, rhs):
+            fail("anti_coalgebra", w)
+        if order and not same(H.antipode_int({w: 1}, order), {w: 1}):
+            fail("antipode_order", w)
+
+    residuals = sum(failures.values())
+    return {
+        "config": H.describe(),
+        "max_len": max_len,
+        "levels": list(levels) if levels else None,
+        "words_checked": len(words),
+        "failures": failures,
+        "failure_examples": {k: v for k, v in examples.items() if v},
+        "residuals": residuals,
+        "ok": residuals == 0,
+    }

@@ -95,6 +95,24 @@ def test_subcoalgebra_and_grouplikes_from_files(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_malformed_json_documents_exit_2(tmp_path, capsys):
+    cases = (
+        ("subcoalgebra", "--span", [1, 2], "(at $)"),
+        ("subcoalgebra", "--span", {"elements": [[{"w": [[1, 1, 0]]}]]},
+         "missing key 'c' (at $.elements[0][0])"),
+        ("grouplikes", "--span", {"elements": [[{"c": "1", "w": [[1, 1]]}]]},
+         "(at $.elements[0][0].w[0])"),
+        ("comap", "--images", {"images": [[[{"c": "1"}], []], [[], []]]},
+         "missing key 'w' (at $.images[0][0][0])"),
+    )
+    for k, (cmd, flag, doc, where) in enumerate(cases):
+        f = tmp_path / ("bad%d.json" % k)
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, cmd, flag, str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and where in err
+
+
 def test_comap_from_file(tmp_path, capsys):
     def gen(i, j, r):
         return [{"c": "1", "w": [[i, j, r]]}]

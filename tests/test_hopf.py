@@ -9,6 +9,8 @@ from freehopf import Field, FreeHopfAlgebra, parse_element
 from freehopf.hopf import parse_variant
 from freehopf.words import UNIT, LevelDomain
 
+from oracles import oracle_verify_axioms
+
 
 def test_parse_variant():
     assert parse_variant("free") == ("free", LevelDomain.nat())
@@ -208,6 +210,51 @@ def test_axioms_report_shape_and_counts():
     Hf = FreeHopfAlgebra(2, "free", Field.rationals())
     rep = Hf.verify_axioms(1, (0, 1))
     assert rep["ok"] and "antipode_order" not in rep["failures"]
+
+
+AXIOM_CONFIGS = (("free", (0, 1)), ("bij", (-1, 1)), ("ord:1", None), ("ord:2", None))
+FIELD_TOKENS = ("q", "f2", "f3", "f5")
+
+
+@pytest.mark.parametrize("variant,levels", AXIOM_CONFIGS)
+def test_axiom_reports_match_per_field_oracle(variant, levels):
+    for tok in FIELD_TOKENS:
+        H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
+        assert H.verify_axioms(2, levels) == oracle_verify_axioms(H, 2, levels)
+
+
+class NegatedAntipode(FreeHopfAlgebra):
+    """S replaced by -S: every antipode residual becomes twice an integer
+    map, so the axioms hold over GF(2) and fail over Q, GF(3) and GF(5)."""
+
+    def antipode_int(self, terms, power=1):
+        return {t: -c for t, c in super().antipode_int(terms, power).items()}
+
+
+@pytest.mark.parametrize("variant,levels", (("free", (0, 1)), ("ord:1", None)))
+def test_negated_antipode_residuals_project_by_gcd(variant, levels):
+    # the real algebra's entry is cached first; the subclass must not read it
+    assert FreeHopfAlgebra(2, variant, Field.rationals()).verify_axioms(2, levels)["ok"]
+    reports = {}
+    for tok in FIELD_TOKENS:
+        H = NegatedAntipode(2, variant, Field.from_token(tok))
+        for max_examples in (5, 1):
+            report = H.verify_axioms(2, levels, max_examples)
+            assert report == oracle_verify_axioms(H, 2, levels, max_examples)
+        reports[tok] = report
+    assert reports["f2"]["ok"] and reports["f2"]["failure_examples"] == {}
+    for tok in ("q", "f3", "f5"):
+        rep = reports[tok]
+        assert not rep["ok"]
+        for name in ("coassociativity", "counit_left", "counit_right"):
+            assert rep["failures"][name] == 0
+        for name in ("antipode_left", "antipode_right", "anti_coalgebra"):
+            assert rep["failures"][name] > 0
+            assert len(rep["failure_examples"][name]) == 1
+        if variant.startswith("ord:"):
+            assert rep["failures"]["antipode_order"] == rep["words_checked"]
+    # and the real algebra still reads its own, clean entry
+    assert FreeHopfAlgebra(2, variant, Field.prime(3)).verify_axioms(2, levels)["ok"]
 
 
 def test_cross_parent_operations_rejected():

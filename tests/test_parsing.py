@@ -102,3 +102,47 @@ def test_span_and_images_loaders():
     assert images[1][0] == H2.gen(2, 1, 0)
     with pytest.raises(ValueError):
         images_from_obj(H2, {"images": [[]]})
+
+
+@pytest.mark.parametrize("doc,path", [
+    ([1, 2], "$"),
+    ({}, "$"),
+    ({"elements": {"c": "1"}}, "$.elements"),
+    ({"elements": [[{"w": [[1, 1, 0]]}]]}, "$.elements[0][0]"),
+    ({"elements": [[{"c": "1"}]]}, "$.elements[0][0]"),
+    ({"elements": [[], [7]]}, "$.elements[1][0]"),
+    ({"elements": [{"c": "1", "w": []}]}, "$.elements[0]"),
+    ({"elements": [[{"c": "1", "w": [[1, 1]]}]]}, "$.elements[0][0].w[0]"),
+    ({"elements": [[{"c": "1", "w": [[1, "1", 0]]}]]}, "$.elements[0][0].w[0][1]"),
+    ({"elements": [[{"c": "1", "w": [[1, 3, 0]]}]]}, "$.elements[0][0].w[0]"),
+    ({"elements": [[{"c": "1", "w": [[1, 1, 0], [1, 1, -1]]}]]}, "$.elements[0][0].w[1]"),
+    ({"elements": [[{"c": None, "w": []}]]}, "$.elements[0][0].c"),
+    ({"elements": [[{"c": "1/2", "w": []}]]}, "$.elements[0][0].c"),
+    ({"elements": [[{"c": "one", "w": []}]]}, "$.elements[0][0].c"),
+])
+def test_malformed_span_documents_name_the_json_path(doc, path):
+    H = FreeHopfAlgebra(2, "free", Field.prime(2))
+    with pytest.raises(ParseError) as info:
+        span_from_obj(H, doc)
+    assert info.value.path == path and info.value.position is None
+    assert str(info.value).endswith("(at %s)" % path)
+
+
+def test_malformed_element_and_images_documents():
+    with pytest.raises(ParseError, match=r"missing key 'terms' \(at \$\)"):
+        element_from_obj(HQ, {"n": 2})
+    with pytest.raises(ParseError, match=r"\$\.terms\[0\]\.w"):
+        element_from_obj(HQ, {"terms": [{"c": "1", "w": 5}]})
+    cell = [{"c": "1", "w": [[1, 1, 0]]}]
+    with pytest.raises(ParseError, match=r"\$\.images\[1\]"):
+        images_from_obj(H2, {"images": [[cell, cell], "row"]})
+    with pytest.raises(ParseError, match=r"\$\.images\[0\]\[1\]\[0\]"):
+        images_from_obj(H2, {"images": [[cell, [{"w": []}]], [cell, cell]]})
+    with pytest.raises(ParseError, match=r"expected a list, got a string"):
+        images_from_obj(H2, {"images": "none"})
+
+
+def test_zero_denominator_in_prime_field_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_element("x[1,1;0] + 1/2*x[1,2;0]", H2)
+    assert info.value.position == 11
