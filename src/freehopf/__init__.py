@@ -28,6 +28,7 @@ from .analysis import (
     gaussian_binomial,
     irreducible_level_span,
     is_subcoalgebra,
+    largest_subcoalgebra,
     level_span,
     scan_matrix_subcoalgebras,
     tensor_membership,
@@ -61,6 +62,7 @@ __all__ = [
     "irreducible_level_span",
     "is_subcoalgebra",
     "kernel",
+    "largest_subcoalgebra",
     "level_span",
     "parse_element",
     "parse_variant",

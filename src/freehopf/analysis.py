@@ -2,10 +2,11 @@
 
 Provides finite-dimensional subspace arithmetic on the word basis, the
 level spans and alternating-word spans used throughout the test corpus,
-subcoalgebra verdicts with witnesses, primitive and grouplike searches,
-and a scanner that either checks the alternating candidate span or
-exhaustively enumerates all k-dimensional subspaces of a small ambient
-space over a prime field, reporting every subcoalgebra found.
+subcoalgebra verdicts with witnesses, the largest subcoalgebra inside a
+subspace, primitive and grouplike searches, and a scanner that either
+checks the alternating candidate span or finds every k-dimensional
+subcoalgebra of a small ambient space over a prime field by enumerating
+the k-dimensional subspaces of the ambient's largest subcoalgebra.
 """
 
 import time
@@ -191,6 +192,30 @@ def is_subcoalgebra(V):
     return Verdict(True)
 
 
+def largest_subcoalgebra(V):
+    """The largest subcoalgebra contained in the subspace V, over any field.
+
+    Iterates W <- {x in W : Delta(x) in W (x) W} from W = V, one kernel per
+    step, until the step keeps all of W.  Every subcoalgebra inside V lies
+    in each iterate, so the fixpoint contains them all (Sweedler, Hopf
+    Algebras, ch. II).  The kernel is that of x -> (Delta(x) reduced modulo
+    W (x) W), which is linear because the reduced remainder is canonical."""
+    H = V.algebra
+    W = V
+    while W.dim:
+        basis = W.basis()
+        ech = _pair_echelon(W, W)
+        pairs = [(t, ech.reduce(H.coproduct(b).terms)) for t, b in enumerate(basis)]
+        combos = kernel(H.field, pairs, key=_pair_key)
+        if len(combos) == W.dim:
+            break
+        W = Subspace(H, [
+            sum((c * basis[t] for t, c in comb.items()), H.zero())
+            for comb in combos
+        ])
+    return W
+
+
 # -- primitive and grouplike searches -----------------------------------------
 
 
@@ -320,6 +345,7 @@ class ScanReport:
     dimension: int
     ambient_dim: int
     subspace_count: object
+    core_dim: object = None
     found: list = dc_field(default_factory=list)
     contains_alternating: object = None
     elapsed: float = 0.0
@@ -332,6 +358,7 @@ class ScanReport:
             "dimension": self.dimension,
             "ambient_dim": self.ambient_dim,
             "subspace_count": self.subspace_count,
+            "core_dim": self.core_dim,
             "found": [s.describe() for s in self.found],
             "found_count": len(self.found),
             "contains_alternating": self.contains_alternating,
@@ -347,8 +374,12 @@ def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
     subcoalgebras of the given dimension (default n*n).
 
     candidate mode: test only the alternating-word span.
-    exhaustive mode: enumerate every subspace of that dimension over a
-    prime field (refused above EXHAUSTIVE_BOUND subspaces).
+    exhaustive mode: over a prime field, find every subcoalgebra of that
+    dimension in the span.  Each one lies in the largest subcoalgebra C of
+    the span, so only the subspaces of C are enumerated (C's dimension is
+    reported as core_dim).  subspace_count is the number of subspaces of
+    the whole span that the answer covers, and the scan is refused when it
+    exceeds EXHAUSTIVE_BOUND.
     """
     start = time.monotonic()
     if dimension is None:
@@ -381,24 +412,27 @@ def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
                 "use candidate mode" % (count, EXHAUSTIVE_BOUND)
             )
         report.subspace_count = count
-        if p == 2:
-            masks = _scan_gf2(H, B, dimension)
-            one = H.field.one
-            for rows in masks:
-                els = [
-                    Element(H, {B[t]: one for t in range(len(B)) if (r >> t) & 1})
-                    for r in rows
-                ]
-                report.found.append(Subspace(H, els))
-        else:
-            for rows in enumerate_rref(p, len(B), dimension):
-                els = []
-                for row in rows:
-                    terms = [(B[c], v) for c, v in enumerate(row) if v]
-                    els.append(H.element(terms))
-                V = Subspace(H, els)
-                if is_subcoalgebra(V).ok:
-                    report.found.append(V)
+        C = largest_subcoalgebra(Subspace.from_words(H, B))
+        report.core_dim = m = C.dim
+        basis = C.basis()
+
+        def span_of(rows):
+            # rows of coordinates on C's basis
+            return Subspace(H, [
+                sum((v * b for v, b in zip(row, basis) if v), H.zero())
+                for row in rows
+            ])
+
+        if 0 <= dimension <= m:
+            if p == 2:
+                for masks in _scan_gf2(C, dimension):
+                    report.found.append(span_of(
+                        [[(r >> t) & 1 for t in range(m)] for r in masks]))
+            else:
+                for rows in enumerate_rref(p, m, dimension):
+                    V = span_of(rows)
+                    if is_subcoalgebra(V).ok:
+                        report.found.append(V)
         try:
             D = alternating_span(H, seq)
         except ValueError:
@@ -412,49 +446,37 @@ def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
     return report
 
 
-def _scan_gf2(H, B, k):
-    """Exhaustive GF(2) scan core.  Returns the row-mask bases of every
-    k-dimensional subspace V of span(B) with Delta(V) inside V (x) V.
+def _scan_gf2(C, k):
+    """Exhaustive GF(2) scan core.  C is a subcoalgebra; returns the row
+    masks (bit t = basis element c_t of C) of every k-dimensional subspace
+    U of C with Delta(U) inside U (x) U.
 
-    Coordinates are extended by any words that occur in coproduct legs but
-    lie outside B; a nonzero component there can never reduce to zero, so
-    membership failure is detected by the same mask arithmetic.
+    The structure constants of C are read off its reduced basis: each c_a
+    has coefficient 1 at its pivot word p_a and 0 at the other pivots, and
+    Delta(c_t) lies in C (x) C, so the coefficient of c_a (x) c_b in
+    Delta(c_t) is the coefficient of Delta(c_t) at (p_a, p_b).
     """
-    m = len(B)
-    index = {w: t for t, w in enumerate(B)}
-    extras = []
-    deltas = {}
-    for b in B:
-        dd = {}
-        for (wa, wb), c in H.delta_word(b).items():
-            if c % 2 == 0:
-                continue
-            dd[(wa, wb)] = 1
-            for w in (wa, wb):
-                if w not in index:
-                    index[w] = m + len(extras)
-                    extras.append(w)
-        deltas[b] = dd
-    e = m + len(extras)
-
-    drows = [[0] * e for _ in range(m)]
-    dcols = [[0] * e for _ in range(m)]
-    for t, b in enumerate(B):
-        for (wa, wb) in deltas[b]:
-            ia, ib = index[wa], index[wb]
-            drows[t][ia] |= 1 << ib
-            dcols[t][ib] |= 1 << ia
-    # visit the extra coordinates first: components there fail immediately
-    a_order = list(range(m, e)) + list(range(m))
+    H = C.algebra
+    m = C.dim
+    pivots = C._ech.pivots()
+    drows = [[0] * m for _ in range(m)]
+    dcols = [[0] * m for _ in range(m)]
+    for t, c in enumerate(C.basis()):
+        terms = H.coproduct(c).terms
+        for a, pa in enumerate(pivots):
+            for b, pb in enumerate(pivots):
+                if (pa, pb) in terms:
+                    drows[t][a] |= 1 << b
+                    dcols[t][b] |= 1 << a
 
     found = []
-    for pivots, pools in _enumerate_rref_masks(m, k):
-        plist = list(pivots)
+    for pivs, pools in _enumerate_rref_masks(m, k):
+        plist = list(pivs)
         for chosen in iproduct(*pools):
             rows = tuple(c[0] for c in chosen)
             ok = True
             for _, bits in chosen:
-                for a in a_order:
+                for a in range(m):
                     x = 0
                     y = 0
                     for t in bits:

@@ -16,6 +16,7 @@ whatever their answer; pass --expect to gate on it.
 
 import argparse
 import json
+import re
 import sys
 
 from .analysis import (
@@ -116,6 +117,23 @@ def build_parser():
     _common_flags(p)
 
     return parser
+
+
+# Flags whose values may start with "-" (a negative level such as -1..1 or
+# -1,0).  argparse takes such a token for an option, so "--levels -1..1" is
+# rewritten to "--levels=-1..1" before parsing.
+_SIGNED_VALUE_FLAGS = ("--levels", "--r")
+_SIGNED_VALUE = re.compile(r"-\d")
+
+
+def _join_signed_values(argv):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and _SIGNED_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _algebra(args):
@@ -228,6 +246,10 @@ def _run(args):
         lines = [
             "ambient_dim\t%d" % report.ambient_dim,
             "subspaces\t%s" % report.subspace_count,
+        ]
+        if report.core_dim is not None:
+            lines.append("core_dim\t%d" % report.core_dim)
+        lines += [
             "found\t%d" % len(report.found),
             "contains_alternating\t%s" % primary,
         ]
@@ -260,7 +282,9 @@ def _run(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_signed_values(argv))
     try:
         primary, payload, lines, code = _run(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:

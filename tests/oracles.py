@@ -5,11 +5,12 @@ algorithms (generate-and-filter enumeration, dense Gaussian elimination)
 and does not call into the package's rewrite or linalg internals, except
 oracle_verify_axioms, which checks the field projection of the integer
 axiom residuals against a per-field comparison built on the package's
-structure maps.
+structure maps, and oracle_scan_gf2, which reads the package's word
+coproducts.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from freehopf.words import UNIT, word_str
 
@@ -201,3 +202,88 @@ def oracle_verify_axioms(H, max_len, levels=None, max_examples=5):
         "residuals": residuals,
         "ok": residuals == 0,
     }
+
+
+def _rref_masks(m, k):
+    """Every k x m reduced row-echelon basis over GF(2), as pivot columns
+    and, per row, the (bitmask, set-bit tuple) choices (bit c = column c)."""
+    cols = range(m)
+    for pivots in combinations(cols, k):
+        pivset = set(pivots)
+        pools = []
+        for i in range(k):
+            free = [c for c in cols if c > pivots[i] and c not in pivset]
+            vals = []
+            for sub in iproduct((0, 1), repeat=len(free)):
+                mask = 1 << pivots[i]
+                for c, v in zip(free, sub):
+                    if v:
+                        mask |= 1 << c
+                vals.append((mask, tuple(t for t in range(m) if (mask >> t) & 1)))
+            pools.append(vals)
+        yield pivots, pools
+
+
+def oracle_scan_gf2(H, B, k):
+    """Row-mask bases (bit t = word B[t]) of every k-dimensional subspace
+    V of span(B) over GF(2) with Delta(V) inside V (x) V, by enumerating
+    all subspaces of span(B) in word coordinates.
+
+    Coordinates are extended by any words that occur in coproduct legs but
+    lie outside B; a nonzero component there can never reduce to zero, so
+    membership failure is detected by the same mask arithmetic.  Uses the
+    package's H.delta_word for the coproducts.
+    """
+    m = len(B)
+    index = {w: t for t, w in enumerate(B)}
+    extras = []
+    deltas = {}
+    for b in B:
+        dd = {}
+        for (wa, wb), c in H.delta_word(b).items():
+            if c % 2 == 0:
+                continue
+            dd[(wa, wb)] = 1
+            for w in (wa, wb):
+                if w not in index:
+                    index[w] = m + len(extras)
+                    extras.append(w)
+        deltas[b] = dd
+    e = m + len(extras)
+
+    drows = [[0] * e for _ in range(m)]
+    dcols = [[0] * e for _ in range(m)]
+    for t, b in enumerate(B):
+        for (wa, wb) in deltas[b]:
+            ia, ib = index[wa], index[wb]
+            drows[t][ia] |= 1 << ib
+            dcols[t][ib] |= 1 << ia
+    # visit the extra coordinates first: components there fail immediately
+    a_order = list(range(m, e)) + list(range(m))
+
+    found = []
+    for pivots, pools in _rref_masks(m, k):
+        plist = list(pivots)
+        for chosen in iproduct(*pools):
+            rows = tuple(c[0] for c in chosen)
+            ok = True
+            for _, bits in chosen:
+                for a in a_order:
+                    x = 0
+                    y = 0
+                    for t in bits:
+                        x ^= drows[t][a]
+                        y ^= dcols[t][a]
+                    for pi, ri in zip(plist, rows):
+                        if (x >> pi) & 1:
+                            x ^= ri
+                        if (y >> pi) & 1:
+                            y ^= ri
+                    if x or y:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found.append(rows)
+    return found

@@ -15,6 +15,7 @@ from freehopf import (
     gaussian_binomial,
     irreducible_level_span,
     is_subcoalgebra,
+    largest_subcoalgebra,
     level_span,
     parse_element,
     scan_matrix_subcoalgebras,
@@ -28,7 +29,9 @@ from freehopf.analysis import (
     irreducible_level_words,
 )
 
-from oracles import oracle_rank_p
+from freehopf.words import storage_key
+
+from oracles import oracle_rank_p, oracle_scan_gf2
 
 H1Q = FreeHopfAlgebra(2, "ord:1", Field.rationals())
 H1F2 = FreeHopfAlgebra(2, "ord:1", Field.prime(2))
@@ -206,9 +209,23 @@ def test_scan_candidate_mode():
         scan_matrix_subcoalgebras(H1F2, (0, 1), mode="nonsense")
 
 
+def _canon(V):
+    """Hashable form of a subspace: its reduced basis, printed."""
+    return tuple(str(b) for b in V.basis())
+
+
+def _mask_subspaces(H, B, masks):
+    return [
+        Subspace(H, [H.element([(B[t], 1) for t in range(len(B)) if (r >> t) & 1])
+                     for r in rows])
+        for rows in masks
+    ]
+
+
 def test_scan_exhaustive_small_and_bitmask_oracle():
-    # dimension-2 scan of a 4-dim ambient: cross-check the bitmask core
-    # against a direct enumerate+is_subcoalgebra sweep
+    # dimension-2 scan of a 4-dim ambient: cross-check the word-coordinate
+    # bitmask oracle and the scan against a direct enumerate+is_subcoalgebra
+    # sweep
     H = H1F2
     seq = (0,)
     B = irreducible_level_words(H, seq)
@@ -220,18 +237,85 @@ def test_scan_exhaustive_small_and_bitmask_oracle():
         V = Subspace(H, els)
         if is_subcoalgebra(V).ok:
             direct.append(V)
-    masks = _scan_gf2(H, B, 2)
-    fast = []
-    for rows in masks:
-        els = [H.element([(B[t], 1) for t in range(len(B)) if (r >> t) & 1])
-               for r in rows]
-        fast.append(Subspace(H, els))
+    fast = _mask_subspaces(H, B, oracle_scan_gf2(H, B, 2))
     assert len(fast) == len(direct)
     for V in fast:
         assert any(V == W for W in direct)
     report = scan_matrix_subcoalgebras(H, seq, mode="exhaustive", dimension=2)
     assert report.subspace_count == gaussian_binomial(4, 2, 2)
     assert len(report.found) == len(direct)
+    assert {_canon(V) for V in report.found} == {_canon(V) for V in direct}
+
+
+ORACLE_CASES = (
+    [("ord:1", (0,), k) for k in range(5)]
+    + [("ord:1", (0, 1), k) for k in (1, 2, 3)]
+    + [("ord:1", (1, 0), 4), ("ord:2", (0, 1), 1), ("free", (0, 1), 1),
+       ("ord:2", (0,), 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "variant,seq,k", ORACLE_CASES,
+    ids=["%s-%s-k%d" % (v, ",".join(map(str, s)), k) for v, s, k in ORACLE_CASES],
+)
+def test_scan_exhaustive_matches_word_oracle(variant, seq, k):
+    # the scan enumerates inside the largest subcoalgebra; the oracle
+    # enumerates every k-dim subspace of the whole level span
+    H = FreeHopfAlgebra(2, variant, Field.prime(2))
+    B = irreducible_level_words(H, seq)
+    oracle = _mask_subspaces(H, B, oracle_scan_gf2(H, B, k))
+    report = scan_matrix_subcoalgebras(H, seq, mode="exhaustive", dimension=k)
+    assert report.subspace_count == gaussian_binomial(len(B), k, 2)
+    found = {_canon(V) for V in report.found}
+    assert len(found) == len(report.found)
+    assert found == {_canon(V) for V in oracle}
+    C = largest_subcoalgebra(irreducible_level_span(H, seq))
+    assert report.core_dim == C.dim
+    for V in oracle:
+        assert all(C.contains(b) for b in V.basis())
+
+
+def test_scan_gf2_core_finds_proper_subcoalgebras():
+    # the level spans above have only 0 and the whole core as answers; the
+    # sum of the level-0 and level-1 matrix coalgebras has two proper
+    # 4-dim subcoalgebras, which the core must find as the oracle does
+    H = H1F2
+    B = sorted(irreducible_level_words(H, (0,)) + irreducible_level_words(H, (1,)),
+               key=storage_key)
+    C = Subspace.from_words(H, B)  # its reduced basis is B, in this order
+    assert largest_subcoalgebra(C) == C
+    for k, count in ((2, 0), (4, 2), (8, 1)):
+        oracle = {_canon(V) for V in _mask_subspaces(H, B, oracle_scan_gf2(H, B, k))}
+        core = {_canon(V) for V in _mask_subspaces(H, B, _scan_gf2(C, k))}
+        assert core == oracle and len(core) == count
+    assert core == {_canon(C)}  # at k = 8 the one answer is C itself
+
+
+@pytest.mark.parametrize("variant,tok,core_dim", [
+    ("ord:1", "f2", 4), ("ord:2", "f2", 9), ("free", "f2", 9),
+    ("ord:1", "q", 0), ("ord:1", "f3", 0),
+])
+def test_largest_subcoalgebra_of_level_span(variant, tok, core_dim):
+    H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
+    C = largest_subcoalgebra(irreducible_level_span(H, (0, 1)))
+    assert C.dim == core_dim
+    assert is_subcoalgebra(C).ok
+
+
+def test_largest_subcoalgebra_fixed_points():
+    assert (largest_subcoalgebra(irreducible_level_span(H1F2, (0, 1)))
+            == alternating_span(H1F2, (0, 1)))
+    # a span that is already a subcoalgebra comes back unchanged
+    for H in (H1F2, H1Q, H1F3, H2F2):
+        V = irreducible_level_span(H, (0,))
+        assert is_subcoalgebra(V).ok
+        assert largest_subcoalgebra(V) == V
+        W = level_span(H, (0, 1))
+        assert largest_subcoalgebra(W) == W
+    # and so does the zero space
+    Z = Subspace(H1F2)
+    assert largest_subcoalgebra(Z) == Z
 
 
 def test_scan_exhaustive_generic_p_matches_candidate():
@@ -243,6 +327,22 @@ def test_scan_exhaustive_generic_p_matches_candidate():
     assert rep.subspace_count == gaussian_binomial(4, 1, 3)
     for V in rep.found:
         assert is_subcoalgebra(V).ok
+    # the generic path enumerates inside the (here 4-dim) core; it must
+    # find what a direct sweep over every line of the level span finds
+    B = irreducible_level_words(H, seq)
+    direct = []
+    for rows in enumerate_rref(3, len(B), 1):
+        V = Subspace(H, [H.element([(B[c], v) for c, v in enumerate(row) if v])
+                         for row in rows])
+        if is_subcoalgebra(V).ok:
+            direct.append(V)
+    assert rep.core_dim == 4
+    assert len(rep.found) == len(direct)
+    assert {_canon(V) for V in rep.found} == {_canon(V) for V in direct}
+    # at levels (0,1) the core is 0, so none of the 9841 lines is searched
+    rep = scan_matrix_subcoalgebras(H, (0, 1), mode="exhaustive", dimension=1)
+    assert rep.subspace_count == 9841 and rep.core_dim == 0
+    assert rep.found == [] and rep.contains_alternating is False
 
 
 def test_scan_bound_refusal():
@@ -303,6 +403,9 @@ def test_scan_report_shape():
     rep = scan_matrix_subcoalgebras(H1F2, (0, 1), mode="candidate")
     doc = rep.describe()
     assert set(doc) >= {"config", "levels", "mode", "dimension", "ambient_dim",
-                        "subspace_count", "found", "contains_alternating",
-                        "elapsed_seconds"}
+                        "subspace_count", "core_dim", "found",
+                        "contains_alternating", "elapsed_seconds"}
     assert doc["found"][0]["dim"] == 4
+    assert doc["core_dim"] is None
+    doc = scan_matrix_subcoalgebras(H1F2, (0, 1), mode="exhaustive").describe()
+    assert doc["core_dim"] == 4 and doc["subspace_count"] == 3309747

@@ -140,6 +140,7 @@ def test_scan_candidate(capsys):
                        "--expect", "false")
     assert code == 0
     assert "contains_alternating\tfalse" in out
+    assert "core_dim" not in out
 
 
 def test_primitives(capsys):
@@ -157,3 +158,26 @@ def test_suite_runner(capsys):
     doc = json.loads(out)
     assert doc["suite"] == "examples" and doc["pass"] is True
     assert {"name", "expected", "actual", "pass"} <= set(doc["cases"][0])
+
+
+def test_negative_values_with_or_without_equals(capsys):
+    # "--levels -1..1" and "--r -1,0" parse like their "=" spellings
+    for spaced, joined in (
+        (["axioms", "--variant", "bij", "--levels", "-1..1"],
+         ["axioms", "--variant", "bij", "--levels=-1..1"]),
+        (["dr", "--r", "-1,0", "--variant", "bij", "--field", "f2"],
+         ["dr", "--r=-1,0", "--variant", "bij", "--field", "f2"]),
+    ):
+        code_s, out_s, err_s = run(capsys, *spaced)
+        code_j, out_j, _ = run(capsys, *joined)
+        assert code_s == code_j == 0, err_s
+        assert out_s == out_j and out_s.strip()
+
+
+def test_scan_exhaustive_prints_core_dim(capsys):
+    code, out, _ = run(capsys, "scan", "--r", "0,1", "--mode", "exhaustive",
+                       "--variant", "ord:1", "--field", "f2", "--expect", "true")
+    assert code == 0
+    lines = out.splitlines()
+    assert "subspaces\t3309747" in lines and "core_dim\t4" in lines
+    assert "found\t1" in lines
