@@ -206,7 +206,7 @@ def largest_subcoalgebra(V):
         basis = W.basis()
         ech = _pair_echelon(W, W)
         pairs = [(t, ech.reduce(H.coproduct(b).terms)) for t, b in enumerate(basis)]
-        combos = kernel(H.field, pairs, key=_pair_key)
+        combos = kernel(H.field, pairs)
         if len(combos) == W.dim:
             break
         W = Subspace(H, [
@@ -219,26 +219,20 @@ def largest_subcoalgebra(V):
 # -- primitive and grouplike searches -----------------------------------------
 
 
+def _primitive_map(H, max_len, levels=None):
+    """Yield (w, Delta(w) - w (x) 1 - 1 (x) w) with integer coefficients for
+    each basis word w of length <= max_len, one at a time."""
+    for w in H.basis_words(max_len, levels):
+        vec = dict(H.delta_word(w))
+        for pair in ((w, UNIT), (UNIT, w)):
+            vec[pair] = vec.get(pair, 0) - 1
+        yield w, vec
+
+
 def find_primitives(H, max_len, levels=None):
     """Basis of the space of primitive elements (Delta x = x (x) 1 + 1 (x) x)
     supported on irreducible words of length <= max_len."""
-    one = H.field.one
-    pairs = []
-    for w in H.basis_words(max_len, levels):
-        vec = {}
-        for pair, k in H.delta_word(w).items():
-            c = H.field.scalar(k)
-            if c:
-                vec[pair] = c
-        for pair in ((w, UNIT), (UNIT, w)):
-            s = vec.get(pair, H.field.zero) - one
-            if s:
-                vec[pair] = s
-            else:
-                vec.pop(pair, None)
-        pairs.append((w, vec))
-    combos = kernel(H.field, pairs, key=_pair_key)
-    return [Element(H, dict(c)) for c in combos]
+    return [Element(H, c) for c in kernel(H.field, _primitive_map(H, max_len, levels))]
 
 
 def find_grouplikes(V, bound=2 ** 24):

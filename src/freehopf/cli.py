@@ -121,15 +121,21 @@ def build_parser():
 
 # Flags whose values may start with "-" (a negative level such as -1..1 or
 # -1,0).  argparse takes such a token for an option, so "--levels -1..1" is
-# rewritten to "--levels=-1..1" before parsing.
+# rewritten to "--levels=-1..1" before parsing, and so is an abbreviation
+# such as "--lev -1..1"; argparse still resolves (or rejects as ambiguous)
+# the abbreviated name.
 _SIGNED_VALUE_FLAGS = ("--levels", "--r")
 _SIGNED_VALUE = re.compile(r"-\d")
+
+
+def _takes_signed_value(tok):
+    return len(tok) > 2 and any(f.startswith(tok) for f in _SIGNED_VALUE_FLAGS)
 
 
 def _join_signed_values(argv):
     out = []
     for tok in argv:
-        if out and out[-1] in _SIGNED_VALUE_FLAGS and _SIGNED_VALUE.match(tok):
+        if out and _takes_signed_value(out[-1]) and _SIGNED_VALUE.match(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -1,23 +1,28 @@
 """Sparse exact linear algebra over a coefficient field.
 
 Vectors are dicts mapping hashable basis keys (words, word pairs, ...) to
-nonzero field scalars.  An Echelon keeps a fully reduced row set: each row
-is normalized to leading coefficient 1 on its pivot (the largest key in the
-row under the chosen ordering) and contains no other row's pivot, so
-reduction against it yields canonical remainders.
+nonzero field scalars.  Two eliminations live here:
+
+* An Echelon keeps a fully reduced row set: each row is normalized to
+  leading coefficient 1 on its pivot (the largest key in the row under the
+  chosen ordering, such as ``storage_key`` for words) and contains no other
+  row's pivot, so reduction against it yields canonical remainders.  Subspace
+  equality, basis order and printing rely on these canonical rows.
+* kernel runs its own semi-echelon elimination on interned column ids: each
+  key becomes an int in the order keys are first seen, a row's pivot is its
+  largest id, and stored rows are never back-substituted.  The keys need no
+  mutual order, and the arithmetic runs on the fields' plain values (ints
+  mod p or Fractions).
 """
 
 
 class Echelon:
-    """Incremental reduced row-echelon form with optional tracking of how
-    each inserted vector combines the original inputs (for kernels)."""
+    """Incremental reduced row-echelon form under a key ordering."""
 
-    def __init__(self, field, key=None, track=False):
+    def __init__(self, field, key=None):
         self.field = field
         self.key = key if key is not None else (lambda k: k)
-        self.track = track
         self.rows = {}
-        self.combs = {}
 
     @property
     def dim(self):
@@ -30,7 +35,7 @@ class Echelon:
         """Rows in ascending pivot order."""
         return [self.rows[p] for p in self.pivots()]
 
-    def _reduce(self, vec, comb):
+    def _reduce(self, vec):
         v = {k: c for k, c in vec.items() if c}
         out = {}
         while v:
@@ -49,43 +54,29 @@ class Echelon:
                     v[k2] = s
                 else:
                     v.pop(k2, None)
-            if comb is not None:
-                for tag, c2 in self.combs[m].items():
-                    s = comb.get(tag)
-                    s = -(c * c2) if s is None else s - c * c2
-                    if s:
-                        comb[tag] = s
-                    else:
-                        comb.pop(tag, None)
         return out
 
     def reduce(self, vec):
         """Canonical remainder of vec modulo the row space."""
-        return self._reduce(vec, None)
+        return self._reduce(vec)
 
     def contains(self, vec):
-        return not self._reduce(vec, None)
+        return not self._reduce(vec)
 
-    def insert(self, vec, tag=None):
+    def insert(self, vec):
         """Add vec to the row space; returns True if the rank grew."""
-        return self.feed(tag, vec) is None and self._grew
+        return self.feed(vec)
 
-    def feed(self, tag, vec):
-        """Insert vec; if it was already in the row space, return the
-        combination of previously fed tags that produces it (the kernel
-        relation tag - sum ...), else None."""
-        comb = {tag: self.field.one} if self.track else None
-        rem = self._reduce(vec, comb)
+    def feed(self, vec):
+        """Reduce vec, store its normalized remainder as a new row and clear
+        the new pivot from every stored row; returns True if the rank grew."""
+        rem = self._reduce(vec)
         if not rem:
-            self._grew = False
-            return comb if self.track else None
-        self._grew = True
+            return False
         m = max(rem, key=self.key)
         inv = self.field.one / rem[m]
         row = {k: c * inv for k, c in rem.items()}
-        if comb is not None:
-            comb = {t: c * inv for t, c in comb.items()}
-        for p, prow in self.rows.items():
+        for prow in self.rows.values():
             c = prow.get(m)
             if c is None:
                 continue
@@ -96,28 +87,56 @@ class Echelon:
                     prow[k2] = s
                 else:
                     prow.pop(k2, None)
-            if self.track:
-                pcomb = self.combs[p]
-                for t, c2 in comb.items():
-                    s = pcomb.get(t)
-                    s = -(c * c2) if s is None else s - c * c2
-                    if s:
-                        pcomb[t] = s
-                    else:
-                        pcomb.pop(t, None)
         self.rows[m] = row
-        if self.track:
-            self.combs[m] = comb
-        return None
+        return True
 
 
-def kernel(field, pairs, key=None):
+def kernel(field, pairs):
     """Kernel of the linear map tag -> vector, described by (tag, vector)
-    pairs; returns one combination dict {tag: coeff} per kernel dimension."""
-    ech = Echelon(field, key=key, track=True)
+    pairs with distinct tags; returns one combination dict {tag: coeff} per
+    kernel dimension, in the order of the tags that close them.  Vector
+    coefficients may be scalars of the field or anything field.scalar
+    coerces (such as ints), and may be zero.
+
+    The relation closed by tag t is {t: 1} minus the unique expression of
+    its vector over the earlier tags that raised the rank, so it does not
+    depend on the pivot order or on how far the stored rows are reduced.
+    A vector is reduced only while its largest id is a pivot: a largest id
+    that is not a pivot already makes it independent."""
+    p = field.characteristic
+    ids = {}
+    rows = {}   # pivot id -> {id: value} without the pivot, whose value is 1
+    combs = {}  # pivot id -> {tag: value}, the row as a combination of tags
     out = []
     for tag, vec in pairs:
-        comb = ech.feed(tag, vec)
-        if comb is not None:
-            out.append(comb)
+        v = {}
+        for key, c in vec.items():
+            c = field.scalar(c).value
+            if c:
+                i = ids.get(key)
+                if i is None:
+                    i = ids[key] = len(ids)
+                v[i] = c
+        comb = {tag: 1}
+        while v:
+            m = max(v)
+            row = rows.get(m)
+            if row is None:
+                break
+            c = v.pop(m)
+            for acc, src in ((v, row), (comb, combs[m])):
+                for k, c2 in src.items():
+                    s = acc.get(k, 0) - c * c2
+                    if p:
+                        s %= p
+                    if s:
+                        acc[k] = s
+                    else:
+                        acc.pop(k, None)
+        if not v:
+            out.append({t: field.scalar(c) for t, c in comb.items()})
+            continue
+        inv = pow(v.pop(m), p - 2, p) if p else 1 / v.pop(m)
+        rows[m] = {k: x * inv % p if p else x * inv for k, x in v.items()}
+        combs[m] = {t: x * inv % p if p else x * inv for t, x in comb.items()}
     return out

@@ -6,7 +6,8 @@ and does not call into the package's rewrite or linalg internals, except
 oracle_verify_axioms, which checks the field projection of the integer
 axiom residuals against a per-field comparison built on the package's
 structure maps, and oracle_scan_gf2, which reads the package's word
-coproducts.
+coproducts.  oracle_kernel is the tracked, fully reduced elimination that
+freehopf.linalg.kernel replaced.
 """
 
 from fractions import Fraction
@@ -103,6 +104,55 @@ def oracle_rank_p(rows, p):
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def _sub_scaled(acc, c, src, skip=None):
+    """acc -= c * src in place, dropping zeros and the key skip."""
+    for k, c2 in src.items():
+        if k == skip:
+            continue
+        s = acc.get(k)
+        s = -(c * c2) if s is None else s - c * c2
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
+def oracle_kernel(field, pairs, key=None):
+    """Kernel of tag -> vector by a fully reduced row echelon that tracks,
+    for every row, the combination of fed tags that produces it; each new
+    pivot is back-substituted into every stored row and its combination.
+    Returns one {tag: coeff} per vector that fails to raise the rank, in
+    feed order.  Column keys are ordered by key (identity by default)."""
+    key = key if key is not None else (lambda k: k)
+    rows, combs, out = {}, {}, []
+    for tag, vec in pairs:
+        comb = {tag: field.one}
+        v = {k: c for k, c in vec.items() if c}
+        rem = {}
+        while v:
+            m = max(v, key=key)
+            c = v.pop(m)
+            if m not in rows:
+                rem[m] = c
+                continue
+            _sub_scaled(v, c, rows[m], skip=m)
+            _sub_scaled(comb, c, combs[m])
+        if not rem:
+            out.append(comb)
+            continue
+        m = max(rem, key=key)
+        inv = field.one / rem[m]
+        row = {k: c * inv for k, c in rem.items()}
+        comb = {t: c * inv for t, c in comb.items()}
+        for q, qrow in rows.items():
+            c = qrow.get(m)
+            if c is not None:
+                _sub_scaled(qrow, c, row)
+                _sub_scaled(combs[q], c, comb)
+        rows[m], combs[m] = row, comb
+    return out
 
 
 def oracle_verify_axioms(H, max_len, levels=None, max_examples=5):

@@ -161,9 +161,12 @@ def test_suite_runner(capsys):
 
 
 def test_negative_values_with_or_without_equals(capsys):
-    # "--levels -1..1" and "--r -1,0" parse like their "=" spellings
+    # "--levels -1..1" and "--r -1,0" parse like their "=" spellings, and
+    # so does an abbreviated "--lev -1..1"
     for spaced, joined in (
         (["axioms", "--variant", "bij", "--levels", "-1..1"],
+         ["axioms", "--variant", "bij", "--levels=-1..1"]),
+        (["axioms", "--variant", "bij", "--lev", "-1..1"],
          ["axioms", "--variant", "bij", "--levels=-1..1"]),
         (["dr", "--r", "-1,0", "--variant", "bij", "--field", "f2"],
          ["dr", "--r=-1,0", "--variant", "bij", "--field", "f2"]),

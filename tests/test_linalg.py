@@ -3,10 +3,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from freehopf import FreeHopfAlgebra
+from freehopf.analysis import _pair_key, _primitive_map
 from freehopf.fields import Field
 from freehopf.linalg import Echelon, kernel
 
-from oracles import oracle_rank_p, oracle_rank_q
+from oracles import oracle_kernel, oracle_rank_p, oracle_rank_q
 
 
 def _random_sparse(rng, field, ncols, density=0.5):
@@ -118,6 +122,105 @@ def test_kernel_relations_are_real():
                     else:
                         acc.pop(k, None)
             assert acc == {}
+
+
+def _combine(field, coeffs, vecs):
+    acc = {}
+    for c, vec in zip(coeffs, vecs):
+        for k, v in vec.items():
+            s = acc.get(k, field.zero) + c * v
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    return acc
+
+
+def _random_scalar(rng, field):
+    if field.is_rationals:
+        return field.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return field.scalar(rng.randint(0, field.characteristic - 1))
+
+
+def _plant(rng, field, pairs, count):
+    """pairs plus count vectors, each a random combination of up to three
+    earlier ones, inserted at random later positions."""
+    pairs = list(pairs)
+    for t in range(count):
+        pos = rng.randint(1, len(pairs))
+        picked = rng.sample(pairs[:pos], min(3, pos))
+        vec = _combine(field, [_random_scalar(rng, field) for _ in picked],
+                       [v for _, v in picked])
+        pairs.insert(pos, (("planted", t), vec))
+    return pairs
+
+
+def _rank(field, pairs, keys):
+    rows = [[v.get(k, field.zero).value for k in keys] for _, v in pairs]
+    if field.is_rationals:
+        return oracle_rank_q(rows)
+    return oracle_rank_p(rows, field.characteristic)
+
+
+FIELDS = (Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(5))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.token)
+def test_kernel_matches_tracked_oracle_on_planted_relations(field):
+    rng = random.Random(31 + field.characteristic)
+    for trial in range(30):
+        ncols = rng.randint(1, 12)
+        pairs = [(t, _random_sparse(rng, field, ncols, density=0.3))
+                 for t in range(rng.randint(1, 10))]
+        pairs = _plant(rng, field, pairs, rng.randint(0, 4))
+        combos = kernel(field, iter(pairs))
+        assert combos == oracle_kernel(field, pairs)
+        assert len(combos) == len(pairs) - _rank(field, pairs, range(ncols))
+
+
+@pytest.mark.parametrize("variant", ("free", "ord:1", "ord:2"))
+@pytest.mark.parametrize("tok", ("q", "f2", "f3"))
+def test_kernel_matches_tracked_oracle_on_primitive_maps(variant, tok):
+    field = Field.from_token(tok)
+    H = FreeHopfAlgebra(2, variant, field)
+    window = None if variant.startswith("ord:") else (0, 1)
+    pairs = list(_primitive_map(H, 2, window))  # integer coefficients
+    rng = random.Random(7)
+    pairs = _plant(rng, field, pairs, 3)
+    combos = kernel(field, pairs)
+    assert len(combos) == 3
+    scalars = [(t, {k: field.scalar(c) for k, c in v.items()}) for t, v in pairs]
+    assert combos == oracle_kernel(field, scalars, key=_pair_key)
+    assert [next(iter(c)) for c in combos] == [t for t, _ in pairs
+                                               if t[:1] == ("planted",)]
+
+
+def test_kernel_columns_need_no_order():
+    # str and tuple keys cannot be compared with each other; zero vectors
+    # and a repeated vector each close a relation
+    F = Field.prime(3)
+    one, two = F.one, F.scalar(2)
+    pairs = [
+        ("a", {"x": one, (1, 2): two}),
+        ("zero", {}),
+        ("b", {(1, 2): one, "y": one}),
+        ("a again", {"x": one, (1, 2): two}),
+        ("c", {"x": one, "y": one}),
+        ("zeros", {"x": F.zero, (3,): F.zero}),
+        ("d", {"z": one}),
+    ]
+    combos = kernel(F, pairs)
+    assert combos == [
+        {"zero": one},
+        {"a again": one, "a": -one},
+        {"c": one, "a": -one, "b": two},
+        {"zeros": one},
+    ]
+    keys = ["x", (1, 2), "y", (3,), "z"]
+    assert len(combos) == len(pairs) - _rank(F, pairs, keys)
+    for comb in combos:
+        assert _combine(F, list(comb.values()),
+                        [dict(pairs)[t] for t in comb]) == {}
 
 
 def test_custom_key_ordering():
