@@ -25,7 +25,7 @@ concrete overlap and inclusion ambiguity inside a level window.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, product
+from itertools import permutations, product
 
 from .words import UNIT, LevelDomain, storage_key, word_str
 
@@ -341,6 +341,8 @@ class ConfluenceReport:
     dom: LevelDomain
     levels: tuple | None
     records: list = dataclass_field(default_factory=list)
+    checked: int = 0  # ambiguities whose normal forms were computed
+    symmetries: int = 1  # order of the verified symmetry group used
 
     @property
     def total(self):
@@ -365,6 +367,7 @@ class ConfluenceReport:
             "unresolved_count": len(self.unresolved),
             "resolved": self.ok,
             "unresolved": [r.describe() for r in self.unresolved],
+            "work": {"checked": self.checked, "symmetries": self.symmetries},
         }
 
 
@@ -374,38 +377,148 @@ def check_confluence(n, dom, levels=None):
     For nat/int domains the window must contain at least 5 consecutive
     levels: rule patterns span at most 3 consecutive levels and two glued
     patterns span at most 5, and the rules are invariant under level
-    translation, so such a window exhibits every ambiguity shape.
+    translation, so such a window exhibits every ambiguity shape.  Modular
+    domains ignore the window, and their report records none.
+
+    Ambiguities are looked up in an index of the rule instances by whole
+    left-hand side (inclusions) and by proper prefix (overlaps).  Normal
+    forms are computed for one ambiguity per orbit of a group of letter
+    maps and carried to the rest of the orbit through each map's letter
+    table.  The candidate maps are the permutations of the indices 1..n-2,
+    the flip x[i,j;r] -> x[j,i;c-r] (c = lo+hi on a window, 0 mod m; it
+    swaps R1 with R2 and R3 with R4 and keeps match positions), the mod
+    level rotations r -> r+1, and their products; only those that map the
+    rule instances onto themselves and commute with reduce_once on every
+    instance are kept, and they form a subgroup.  Such a map carries a
+    resolution of one ambiguity to a resolution of its image, so if every
+    representative resolves, the rules are confluent on the window by
+    Bergman's diamond lemma, normal forms are unique, and every mapped
+    record equals the one a direct computation gives.  If some
+    representative is unresolved, the check is repeated with the trivial
+    group, so the report lists every ambiguity as a full check does.
+
+    Normal forms are cached on a private RuleSet that is dropped with the
+    check; the shared rules_for cache is left as it was.
     """
-    rs = rules_for(n, dom)
-    if dom.kind != "mod":
-        if levels is None:
-            raise ValueError("a level window is required for the %s domain" % dom.kind)
-        if levels[1] - levels[0] + 1 < 5:
-            raise ValueError(
-                "level window %r too narrow for a conclusive check (need >= 5 levels)" % (levels,)
-            )
+    if dom.kind == "mod":
+        levels = None
+    elif len(dom.levels(levels)) < 5:
+        raise ValueError(
+            "level window %r too narrow for a conclusive check (need >= 5 levels)" % (levels,)
+        )
+    else:
+        levels = tuple(levels)
+    rs = RuleSet(n, dom)
     inst = rs.rule_instances(levels)
+    ambiguities = _ambiguities(inst)
+    group = _verified_symmetries(rs, inst, levels)
+    records, checked = _resolve(rs, ambiguities, group)
+    if len(group) > 1 and not all(r.resolved for r in records):
+        group = group[:1]  # the identity
+        records, checked = _resolve(rs, ambiguities, group)
+    return ConfluenceReport(n, dom, levels, records, checked, len(group))
+
+
+def _ambiguities(inst):
+    """Every ambiguity (word, match_a, match_b) of the rule instances, in
+    report order: storage order of the word, then the matches.
+
+    One pair of matches is found from both of its instances only when both
+    sit at position 0 of one word; match_a is then the earlier instance,
+    as in a scan of all ordered pairs of instances.
+    """
+    by_lhs, by_prefix = {}, {}
+    for rule, w in inst:
+        by_lhs.setdefault(w, []).append(rule)
+        for k in range(1, len(w)):
+            by_prefix.setdefault(w[:k], []).append((rule, w))
     seen = set()
-    records = []
-    for (ra, wa), (rb, wb) in product(inst, inst):
-        la, lb = len(wa), len(wb)
+    out = []
+    for ra, wa in inst:
+        la = len(wa)
         for s in range(la):
-            if s + lb <= la:
-                # wb sits inside wa
-                if (rb, s) == (ra, 0) or wa[s:s + lb] != wb:
-                    continue
-                word = wa
-            else:
-                # proper overlap: a suffix of wa is a prefix of wb
-                if s == 0 or wa[s:] != wb[:la - s]:
-                    continue
-                word = wa + wb[la - s:]
-            key = (word, tuple(sorted(((ra, 0), (rb, s)))))
-            if key in seen:
-                continue
-            seen.add(key)
-            nf_a = rs.normal_form_int(rs.reduce_once(word, ra, 0))
-            nf_b = rs.normal_form_int(rs.reduce_once(word, rb, s))
-            records.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a == nf_b, nf_a, nf_b))
-    records.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
-    return ConfluenceReport(n, dom, tuple(levels) if levels else None, records)
+            # a whole left-hand side inside wa at s
+            hits = [(rb, wa) for e in range(s + 1, la + 1)
+                    for rb in by_lhs.get(wa[s:e], ()) if (rb, s) != (ra, 0)]
+            # a proper overlap: the suffix of wa from s starts a longer one
+            if s:
+                hits += [(rb, wa + wb[la - s:]) for rb, wb in by_prefix.get(wa[s:], ())]
+            for rb, word in hits:
+                key = (word,) + tuple(sorted(((ra, 0), (rb, s))))
+                if key not in seen:
+                    seen.add(key)
+                    out.append((word, (ra, 0), (rb, s)))
+    out.sort(key=lambda a: (storage_key(a[0]), a[1], a[2]))
+    return out
+
+
+_SAME_RULE = {R1: R1, R2: R2, R3: R3, R4: R4}
+_FLIP_RULE = {R1: R2, R2: R1, R3: R4, R4: R3}
+
+
+def _image(table, w):
+    return tuple(map(table.__getitem__, w))
+
+
+def _image_terms(table, terms):
+    get = table.__getitem__
+    return {tuple(map(get, w)): c for w, c in terms.items()}
+
+
+def _candidate_symmetries(rs, levels):
+    """(letter table, rule map) of each candidate symmetry, identity first."""
+    n, dom, wrap = rs.n, rs.dom, rs.dom.canon
+    if dom.kind == "mod":
+        shifts, centre = range(dom.modulus), 0
+    else:
+        lvls = dom.levels(levels)
+        shifts, centre = (0,), lvls[0] + lvls[-1]
+    letters = rs.alphabet(levels)
+    out = []
+    for perm in permutations(range(1, n - 1)):
+        p = (0,) + perm + (n - 1, n)
+        for t in shifts:
+            out.append(({(i, j, r): (p[i], p[j], wrap(r + t)) for i, j, r in letters},
+                        _SAME_RULE))
+            out.append(({(i, j, r): (p[j], p[i], wrap(centre + t - r)) for i, j, r in letters},
+                        _FLIP_RULE))
+    return out
+
+
+def _verified_symmetries(rs, inst, levels):
+    """The candidates that map every rule instance to a rule instance and
+    commute with reduce_once on it, identity first."""
+    rhs = {(rule, w): rs.reduce_once(w, rule, 0) for rule, w in inst}
+    return [
+        (table, rules) for table, rules in _candidate_symmetries(rs, levels)
+        if all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
+               for (rule, w), out in rhs.items())
+    ]
+
+
+def _resolve(rs, ambiguities, group):
+    """Records of all ambiguities, with normal forms computed for the first
+    ambiguity of each orbit of the group (identity first) and mapped to the
+    others; also returns the number computed."""
+    index = {a: k for k, a in enumerate(ambiguities)}
+    records = [None] * len(ambiguities)
+    checked = 0
+    for k, (word, ma, mb) in enumerate(ambiguities):
+        if records[k] is not None:
+            continue
+        nf_a = rs.normal_form_int(rs.reduce_once(word, *ma))
+        nf_b = rs.normal_form_int(rs.reduce_once(word, *mb))
+        checked += 1
+        records[k] = AmbiguityRecord(word, ma, mb, nf_a == nf_b, nf_a, nf_b)
+        for table, rules in group[1:]:
+            gw = _image(table, word)
+            ga, gb = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])
+            j = index.get((gw, ga, gb))
+            x, y = nf_a, nf_b
+            if j is None:
+                j = index[(gw, gb, ga)]
+                x, y = nf_b, nf_a
+            if records[j] is None:
+                x, y = _image_terms(table, x), _image_terms(table, y)
+                records[j] = AmbiguityRecord(gw, ambiguities[j][1], ambiguities[j][2], x == y, x, y)
+    return records, checked

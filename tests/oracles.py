@@ -5,15 +5,17 @@ algorithms (generate-and-filter enumeration, dense Gaussian elimination)
 and does not call into the package's rewrite or linalg internals, except
 oracle_verify_axioms, which checks the field projection of the integer
 axiom residuals against a per-field comparison built on the package's
-structure maps, and oracle_scan_gf2, which reads the package's word
-coproducts.  oracle_kernel is the tracked, fully reduced elimination that
-freehopf.linalg.kernel replaced.
+structure maps, oracle_scan_gf2, which reads the package's word
+coproducts, and oracle_check_confluence, which resolves every ambiguity
+with the package's rules and normal forms.  oracle_kernel is the tracked,
+fully reduced elimination that freehopf.linalg.kernel replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from freehopf.words import UNIT, word_str
+from freehopf.rewrite import AmbiguityRecord, ConfluenceReport, RuleSet
+from freehopf.words import UNIT, storage_key, word_str
 
 
 def make_up(kind, modulus):
@@ -337,3 +339,45 @@ def oracle_scan_gf2(H, B, k):
             if ok:
                 found.append(rows)
     return found
+
+
+def oracle_check_confluence(n, dom, levels=None):
+    """The full confluence check that freehopf.rewrite.check_confluence
+    replaced: test every ordered pair of rule instances at every shift and
+    compute both normal forms of every ambiguity.  It runs on a private
+    RuleSet, so a patched rule set leaves no normal forms in the shared
+    cache."""
+    if dom.kind == "mod":
+        levels = None
+    else:
+        if levels is None:
+            raise ValueError("a level window is required for the %s domain" % dom.kind)
+        if levels[1] - levels[0] + 1 < 5:
+            raise ValueError("level window %r too narrow" % (levels,))
+        levels = tuple(levels)
+    rs = RuleSet(n, dom)
+    inst = rs.rule_instances(levels)
+    seen = set()
+    records = []
+    for (ra, wa), (rb, wb) in iproduct(inst, inst):
+        la, lb = len(wa), len(wb)
+        for s in range(la):
+            if s + lb <= la:
+                # wb sits inside wa
+                if (rb, s) == (ra, 0) or wa[s:s + lb] != wb:
+                    continue
+                word = wa
+            else:
+                # proper overlap: a suffix of wa is a prefix of wb
+                if s == 0 or wa[s:] != wb[:la - s]:
+                    continue
+                word = wa + wb[la - s:]
+            key = (word, tuple(sorted(((ra, 0), (rb, s)))))
+            if key in seen:
+                continue
+            seen.add(key)
+            nf_a = rs.normal_form_int(rs.reduce_once(word, ra, 0))
+            nf_b = rs.normal_form_int(rs.reduce_once(word, rb, s))
+            records.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a == nf_b, nf_a, nf_b))
+    records.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
+    return ConfluenceReport(n, dom, levels, records, checked=len(records), symmetries=1)

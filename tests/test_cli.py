@@ -56,6 +56,20 @@ def test_axioms_and_confluence_exit_codes(capsys):
     assert doc["total_ambiguities"] > 0 and doc["unresolved"] == []
 
 
+def test_confluence_level_window(capsys):
+    # a reversed window is empty, not too narrow
+    for argv in (("confluence", "--levels", "3..1"), ("suite", "confluence", "--levels", "3..1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "empty level window (3, 1)" in err
+    # mod domains ignore the window, and the report says so
+    code, out, _ = run(capsys, "confluence", "--variant", "ord:1", "--levels", "0..2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["levels"] is None
+    assert doc["work"] == {"checked": 70, "symmetries": 4}
+
+
 def test_usage_and_parse_errors(capsys):
     code, _, err = run(capsys, "mul", "x[9,9;0]", "x[1,1;0]")
     assert code == 2 and "error:" in err

@@ -5,15 +5,17 @@ from itertools import product as iproduct
 
 import pytest
 
-from freehopf.rewrite import R1, R2, R3, R4, check_confluence, rules_for
+from freehopf import rewrite
+from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
 from freehopf.words import LevelDomain, Ordering, compare_words
 
-from oracles import oracle_irreducible_count, oracle_reducible
+from oracles import oracle_check_confluence, oracle_irreducible_count, oracle_reducible
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()
 MOD2 = LevelDomain.mod(2)
 MOD4 = LevelDomain.mod(4)
+MOD6 = LevelDomain.mod(6)
 
 
 # -- frozen single steps -------------------------------------------------------
@@ -239,6 +241,112 @@ def test_confluence_all_resolved(n, dom, window):
 def test_confluence_narrow_window_rejected():
     with pytest.raises(ValueError, match="window"):
         check_confluence(2, NAT, (0, 3))
+    with pytest.raises(ValueError, match="empty level window"):
+        check_confluence(2, NAT, (3, 1))
+
+
+def test_confluence_mod_report_ignores_window():
+    report = check_confluence(2, MOD2, (0, 2))
+    assert report.levels is None
+    assert report.describe()["config"]["levels"] is None
+    assert report.records == check_confluence(2, MOD2).records
+
+
+def _fields(report):
+    return [(r.word, r.match_a, r.match_b, r.resolved, r.nf_a, r.nf_b) for r in report.records]
+
+
+# Ambiguity totals of the full check, and the order of the symmetry group
+# it verifies (index permutations x flip x mod rotations).
+CONFLUENCE_PINNED = {
+    (2, NAT, (0, 6)): (576, 2), (2, INT, (-2, 3)): (456, 2),
+    (2, MOD2, None): (276, 4), (2, MOD4, None): (480, 8), (2, MOD6, None): (720, 12),
+    (3, NAT, (0, 6)): (2376, 2), (3, INT, (-2, 3)): (1872, 2),
+    (3, MOD2, None): (1072, 4), (3, MOD4, None): (2016, 8), (3, MOD6, None): (3024, 12),
+    (4, MOD2, None): (2980, 8),
+}
+
+
+@pytest.mark.parametrize("n,dom,window", list(CONFLUENCE_PINNED))
+def test_confluence_matches_full_check_oracle(n, dom, window):
+    report = check_confluence(n, dom, window)
+    oracle = oracle_check_confluence(n, dom, window)
+    assert _fields(report) == _fields(oracle)
+    total, order = CONFLUENCE_PINNED[(n, dom, window)]
+    assert report.total == total and report.ok
+    assert report.symmetries == order
+    assert 0 < report.checked < total
+    assert report.describe()["work"] == {"checked": report.checked, "symmetries": order}
+
+
+def test_confluence_leaves_shared_cache_alone():
+    rs = rules_for(3, MOD2)
+    rs.normal_form_word(((3, 3, 0), (3, 3, 1)))
+    before = len(rs._nf)
+    check_confluence(3, MOD2)
+    assert len(rs._nf) == before
+
+
+def _patch_reduce_once(monkeypatch, edit):
+    original = RuleSet.reduce_once
+
+    def broken(self, w, rule, pos):
+        return edit(w, rule, pos, original(self, w, rule, pos))
+
+    monkeypatch.setattr(RuleSet, "reduce_once", broken)
+
+
+def _assert_same_report(report, oracle):
+    assert report == oracle
+    assert report.describe() == oracle.describe()
+    assert [r.describe() for r in report.unresolved] == [r.describe() for r in oracle.unresolved]
+
+
+@pytest.mark.parametrize("dom,window", [(MOD2, None), (NAT, (0, 6))])
+def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, window):
+    # drop the d(i,j) term of R1 and R2: every candidate symmetry still
+    # commutes with the broken rules, but the representatives no longer
+    # resolve, so the check must rerun with the trivial group.  Mod 2 has
+    # words where R1 and R2 match at one position; the flip swaps them, and
+    # the leftmost strategy does not, so on the broken rules some mapped
+    # normal forms differ from those a direct computation gives.
+    def drop_delta(w, rule, pos, out):
+        if rule in (R1, R2) and w[pos][0] == w[pos + 1][0] and w[pos][1] == w[pos + 1][1]:
+            out.pop(w[:pos] + w[pos + 2:], None)
+        return out
+
+    _patch_reduce_once(monkeypatch, drop_delta)
+    rs = RuleSet(2, dom)
+    order = CONFLUENCE_PINNED[(2, dom, window)][1]
+    assert len(rewrite._verified_symmetries(rs, rs.rule_instances(window), window)) == order
+    report = check_confluence(2, dom, window)
+    oracle = oracle_check_confluence(2, dom, window)
+    assert _fields(report) == _fields(oracle)
+    assert report.unresolved
+    assert report.symmetries == 1 and report.checked == report.total
+    _assert_same_report(report, oracle)
+
+
+def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
+    # drop one term of a single R3 instance; no nontrivial symmetry commutes
+    # with that, so every orbit is a single ambiguity
+    w0 = ((1, 2, 2), (1, 1, 3), (1, 1, 0))
+
+    def break_one(w, rule, pos, out):
+        if rule == R3 and w[pos:pos + 3] == w0:
+            out = dict(out)
+            del out[max(out, key=rewrite.storage_key)]
+        return out
+
+    rs = RuleSet(2, MOD4)
+    assert len(rewrite._verified_symmetries(rs, rs.rule_instances(), None)) == 8
+    _patch_reduce_once(monkeypatch, break_one)
+    assert len(rewrite._verified_symmetries(rs, rs.rule_instances(), None)) == 1
+    report = check_confluence(2, MOD4)
+    oracle = oracle_check_confluence(2, MOD4)
+    assert _fields(report) == _fields(oracle)
+    assert report.unresolved
+    _assert_same_report(report, oracle)
 
 
 def test_confluence_report_shape():
