@@ -224,7 +224,7 @@ def _primitive_map(H, max_len, levels=None):
     each basis word w of length <= max_len, one at a time."""
     for w in H.basis_words(max_len, levels):
         vec = dict(H.delta_word(w))
-        for pair in ((w, UNIT), (UNIT, w)):
+        for pair in ((w, UNIT), (UNIT, w)):  # inline: two single entries
             vec[pair] = vec.get(pair, 0) - 1
         yield w, vec
 

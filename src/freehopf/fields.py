@@ -140,7 +140,9 @@ class Field:
 
 class FieldScalar:
     """A single field element; supports +, -, *, / against same-field scalars
-    and plain ints (ints are coerced into the scalar's own field)."""
+    and plain ints (ints are coerced into the scalar's own field).  Against
+    an int or a Fraction, == compares the stored value (0..p-1 over GF(p))
+    with that number exactly, so GF(5)(1) != 6 and equal objects hash alike."""
 
     __slots__ = ("field", "value")
 
@@ -235,10 +237,11 @@ class FieldScalar:
     def __eq__(self, other):
         if isinstance(other, FieldScalar):
             return other.field is self.field and other.value == self.value
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self.value == v
+        if isinstance(other, (int, Fraction)):
+            # the stored value itself, not other mapped into the field, so
+            # that equal objects hash alike
+            return self.value == other
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.value)

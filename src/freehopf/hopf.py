@@ -19,12 +19,21 @@ are cached per (n, domain) and shared across coefficient fields.  So are
 the Hopf-axiom residuals: verify_axioms computes them once over Z per
 (n, variant, max_len, window), keeps the gcd of each residual's
 coefficients, and projects that gcd to each field.
+
+The maps on elements are linalg.combine over the single-word maps, with
+field coefficients in place of integers; there is one antipode path,
+antipode_int, for Z and for every field.  delta_word and the axiom
+residuals accumulate inline, because they build their keys (word pairs,
+triples) as they go and the residuals keep zeros for the gcd.  Element and
+Tensor share their arithmetic, equality and printing through one private
+base class.
 """
 
 from itertools import product as iproduct
 from math import gcd
 
-from .fields import Field, FieldScalar
+from .fields import Field
+from .linalg import combine
 from .rewrite import rules_for
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
@@ -117,20 +126,12 @@ class FreeHopfAlgebra:
         """Element from (word, coefficient) pairs; words are validated,
         levels canonicalized, and the result reduced to normal form."""
         items = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
         nf = self.rules.normal_form_word
-        for raw, coeff in items:
-            c = self.field.scalar(coeff)
-            if not c:
-                continue
-            w = tuple(letter(self.n, self.domain, i, j, r) for i, j, r in raw)
-            for t, k in nf(w).items():
-                s = acc.get(t, self.field.zero) + c * k
-                if s:
-                    acc[t] = s
-                else:
-                    acc.pop(t, None)
-        return Element(self, acc)
+        scaled = ((self.field.scalar(c), raw) for raw, c in items)
+        return Element(self, combine(
+            (c, nf(tuple(letter(self.n, self.domain, i, j, r) for i, j, r in raw)))
+            for c, raw in scaled if c
+        ))
 
     def _element_from_int(self, terms):
         """Element from an integer combination of already-irreducible words."""
@@ -159,6 +160,7 @@ class FreeHopfAlgebra:
         n = self.n
         nf = self.rules.normal_form_word
         acc = {}
+        # inline, not combine: the keys are pairs built here
         for mid in iproduct(range(1, n + 1), repeat=len(w)):
             left = tuple((l[0], a, l[2]) for l, a in zip(w, mid))
             right = tuple((a, l[1], l[2]) for l, a in zip(w, mid))
@@ -191,15 +193,7 @@ class FreeHopfAlgebra:
     def antipode_int(self, terms, power=1):
         """Antipode power on an integer combination, reduced."""
         nf = self.rules.normal_form_word
-        acc = {}
-        for w, k in terms.items():
-            for t, c in nf(self.antipode_raw_word(w, power)).items():
-                s = acc.get(t, 0) + k * c
-                if s:
-                    acc[t] = s
-                else:
-                    del acc[t]
-        return acc
+        return combine((k, nf(self.antipode_raw_word(w, power))) for w, k in terms.items())
 
     # -- structure maps on elements -----------------------------------------
 
@@ -207,31 +201,13 @@ class FreeHopfAlgebra:
         self._check(a)
         self._check(b)
         nf = self.rules.normal_form_word
-        acc = {}
-        zero = self.field.zero
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                c = ca * cb
-                for t, k in nf(wa + wb).items():
-                    s = acc.get(t, zero) + c * k
-                    if s:
-                        acc[t] = s
-                    else:
-                        acc.pop(t, None)
-        return Element(self, acc)
+        return Element(self, combine(
+            (ca * cb, nf(wa + wb)) for wa, ca in a.terms.items() for wb, cb in b.terms.items()
+        ))
 
     def coproduct(self, a):
         self._check(a)
-        acc = {}
-        zero = self.field.zero
-        for w, c in a.terms.items():
-            for pair, k in self.delta_word(w).items():
-                s = acc.get(pair, zero) + c * k
-                if s:
-                    acc[pair] = s
-                else:
-                    acc.pop(pair, None)
-        return Tensor(self, acc)
+        return Tensor(self, combine((c, self.delta_word(w)) for w, c in a.terms.items()))
 
     def counit(self, a):
         self._check(a)
@@ -243,17 +219,7 @@ class FreeHopfAlgebra:
 
     def antipode(self, a, power=1):
         self._check(a)
-        nf = self.rules.normal_form_word
-        acc = {}
-        zero = self.field.zero
-        for w, c in a.terms.items():
-            for t, k in nf(self.antipode_raw_word(w, power)).items():
-                s = acc.get(t, zero) + c * k
-                if s:
-                    acc[t] = s
-                else:
-                    acc.pop(t, None)
-        return Element(self, acc)
+        return Element(self, self.antipode_int(a.terms, power))
 
     def tensor(self, a, b):
         self._check(a)
@@ -339,7 +305,8 @@ class FreeHopfAlgebra:
         words = self.basis_words(max_len, levels)
         residues = []
         for w in words:
-            # each map accumulates lhs - rhs of one axiom
+            # each map accumulates lhs - rhs of one axiom; inline, not
+            # combine: the keys are built here and zeros stay for the gcd
             coassoc = {}
             cl, cr = {w: -1}, {w: -1}
             eps = counit(w)
@@ -382,21 +349,16 @@ class FreeHopfAlgebra:
         return hit
 
 
-class Element:
-    """A finite combination of irreducible words with field coefficients.
-
-    The zero element has no terms; construction through FreeHopfAlgebra
-    keeps every stored word irreducible and every coefficient nonzero.
-    """
+class _Combination:
+    """A finite combination of basis keys with nonzero field coefficients in
+    a parent algebra: the arithmetic and printing shared by Element and
+    Tensor.  A subclass gives the sort key and the text of one term."""
 
     __slots__ = ("parent", "terms")
 
     def __init__(self, parent, terms):
         self.parent = parent
         self.terms = terms
-
-    def coefficient(self, w):
-        return self.terms.get(tuple(w), self.parent.field.zero)
 
     def is_zero(self):
         return not self.terms
@@ -405,52 +367,81 @@ class Element:
         return bool(self.terms)
 
     def __add__(self, other):
-        if not isinstance(other, Element):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self.parent._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            s = acc.get(w)
-            s = c if s is None else s + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-        return Element(self.parent, acc)
+        return type(self)(self.parent, combine(((1, other.terms),), dict(self.terms)))
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.parent, {w: -c for w, c in self.terms.items()})
+        return type(self)(self.parent, {k: -c for k, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return self.parent.multiply(self, other)
-        return self._scaled(other)
-
-    def __rmul__(self, other):
-        return self._scaled(other)
-
-    def _scaled(self, scalar):
+    def __rmul__(self, scalar):
         try:
             c = self.parent.field.scalar(scalar)
         except (TypeError, ValueError):
             return NotImplemented
         if not c:
-            return Element(self.parent, {})
-        return Element(self.parent, {w: c * v for w, v in self.terms.items()})
+            return type(self)(self.parent, {})
+        return type(self)(self.parent, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
-            isinstance(other, Element)
+            isinstance(other, type(self))
             and self.parent == other.parent
             and self.terms == other.terms
         )
 
     __hash__ = None
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, c in self.sorted_terms():
+            v = c.value
+            neg = self.parent.field.is_rationals and v < 0
+            body = self._term_str(key, -v if neg else v)
+            if not parts:
+                parts.append("-" + body if neg else body)
+            else:
+                parts.append(("- " if neg else "+ ") + body)
+        return " ".join(parts)
+
+
+class Element(_Combination):
+    """A finite combination of irreducible words with field coefficients.
+
+    The zero element has no terms; construction through FreeHopfAlgebra
+    keeps every stored word irreducible and every coefficient nonzero.
+    """
+
+    __slots__ = ()
+
+    _sort_key = staticmethod(storage_key)
+
+    @staticmethod
+    def _term_str(w, mag):
+        if w == UNIT:
+            return str(mag)
+        if mag == 1:
+            return word_str(w)
+        return "%s*%s" % (mag, word_str(w))
+
+    def coefficient(self, w):
+        return self.terms.get(tuple(w), self.parent.field.zero)
+
+    def __mul__(self, other):
+        if isinstance(other, Element):
+            return self.parent.multiply(self, other)
+        return self.__rmul__(other)
 
     def coproduct(self):
         return self.parent.coproduct(self)
@@ -461,109 +452,24 @@ class Element:
     def antipode(self, power=1):
         return self.parent.antipode(self, power)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: storage_key(t[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            v = c.value
-            neg = self.parent.field.is_rationals and v < 0
-            mag = -v if neg else v
-            if w == UNIT:
-                body = str(mag)
-            elif mag == 1:
-                body = word_str(w)
-            else:
-                body = "%s*%s" % (mag, word_str(w))
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
-
     def __repr__(self):
         return "<%s | %s>" % (self, self.parent.describe())
 
 
-class Tensor:
+class Tensor(_Combination):
     """An element of the two-fold tensor square, stored on pairs of
     irreducible words."""
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ()
 
-    def __init__(self, parent, terms):
-        self.parent = parent
-        self.terms = terms
+    @staticmethod
+    def _sort_key(pair):
+        return storage_key(pair[0]), storage_key(pair[1])
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        acc = dict(self.terms)
-        for pair, c in other.terms.items():
-            s = acc.get(pair)
-            s = c if s is None else s + c
-            if s:
-                acc[pair] = s
-            else:
-                acc.pop(pair, None)
-        return Tensor(self.parent, acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Tensor(self.parent, {p: -c for p, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        c = self.parent.field.scalar(scalar)
-        if not c:
-            return Tensor(self.parent, {})
-        return Tensor(self.parent, {p: c * v for p, v in self.terms.items()})
-
-    def twist(self):
-        return Tensor(self.parent, {(b, a): c for (a, b), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and self.parent == other.parent
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda t: (storage_key(t[0][0]), storage_key(t[0][1]))
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b), c in self.sorted_terms():
-            v = c.value
-            neg = self.parent.field.is_rationals and v < 0
-            mag = -v if neg else v
-            body = "%s (x) %s" % (word_str(a), word_str(b))
-            if mag != 1:
-                body = "%s*%s" % (mag, body)
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+    @staticmethod
+    def _term_str(pair, mag):
+        body = "%s (x) %s" % (word_str(pair[0]), word_str(pair[1]))
+        return body if mag == 1 else "%s*%s" % (mag, body)
 
     def __repr__(self):
         return "<%s | tensor over %s>" % (self, self.parent.describe())

@@ -1,7 +1,13 @@
 """Sparse exact linear algebra over a coefficient field.
 
 Vectors are dicts mapping hashable basis keys (words, word pairs, ...) to
-nonzero field scalars.  Two eliminations live here:
+nonzero coefficients.  combine is the one add-and-drop-zeros step: every
+loop in the package that adds a multiple of an existing {key: coeff} dict
+goes through it, on ints, Fractions or field scalars alike.  Loops that
+build new keys as they go (delta_word, reduce_once, the axiom residuals) or
+reduce mod p on plain ints (kernel) stay inline.
+
+Two eliminations live here:
 
 * An Echelon keeps a fully reduced row set: each row is normalized to
   leading coefficient 1 on its pivot (the largest key in the row under the
@@ -14,6 +20,23 @@ nonzero field scalars.  Two eliminations live here:
   mutual order, and the arithmetic runs on the fields' plain values (ints
   mod p or Fractions).
 """
+
+
+def combine(pairs, acc=None):
+    """Add c * terms into acc for each (c, terms) pair, where terms is a
+    {key: coeff} dict, and drop the entries that become zero; returns acc
+    (a new dict by default)."""
+    if acc is None:
+        acc = {}
+    for c, terms in pairs:
+        for k, v in terms.items():
+            s = acc.get(k)
+            s = c * v if s is None else s + c * v
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    return acc
 
 
 class Echelon:
@@ -40,20 +63,11 @@ class Echelon:
         out = {}
         while v:
             m = max(v, key=self.key)
-            c = v.pop(m)
             row = self.rows.get(m)
             if row is None:
-                out[m] = c
-                continue
-            for k2, c2 in row.items():
-                if k2 == m:
-                    continue
-                s = v.get(k2)
-                s = -(c * c2) if s is None else s - c * c2
-                if s:
-                    v[k2] = s
-                else:
-                    v.pop(k2, None)
+                out[m] = v.pop(m)
+            else:
+                combine(((-v[m], row),), v)  # the pivot cancels itself
         return out
 
     def reduce(self, vec):
@@ -78,15 +92,8 @@ class Echelon:
         row = {k: c * inv for k, c in rem.items()}
         for prow in self.rows.values():
             c = prow.get(m)
-            if c is None:
-                continue
-            for k2, c2 in row.items():
-                s = prow.get(k2)
-                s = -(c * c2) if s is None else s - c * c2
-                if s:
-                    prow[k2] = s
-                else:
-                    prow.pop(k2, None)
+            if c is not None:
+                combine(((-c, row),), prow)
         self.rows[m] = row
         return True
 
@@ -124,6 +131,7 @@ def kernel(field, pairs):
             if row is None:
                 break
             c = v.pop(m)
+            # inline, not combine: plain values reduced mod p
             for acc, src in ((v, row), (comb, combs[m])):
                 for k, c2 in src.items():
                     s = acc.get(k, 0) - c * c2

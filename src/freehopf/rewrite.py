@@ -27,6 +27,7 @@ concrete overlap and inclusion ambiguity inside a level window.
 from dataclasses import dataclass, field as dataclass_field
 from itertools import permutations, product
 
+from .linalg import combine
 from .words import UNIT, LevelDomain, storage_key, word_str
 
 R1, R2, R3, R4 = 1, 2, 3, 4
@@ -139,7 +140,7 @@ class RuleSet:
         pre, post = w[:pos], w[pos + (2 if rule in (R1, R2) else 3):]
         acc = {}
 
-        def put(mid, coeff):
+        def put(mid, coeff):  # inline, not combine: one key built per call
             t = pre + mid + post
             c = acc.get(t, 0) + coeff
             if c:
@@ -210,31 +211,14 @@ class RuleSet:
             if pending:
                 stack.extend(pending)
                 continue
-            acc = {}
-            for v, c in expansion.items():
-                for t, ct in cache[v].items():
-                    s = acc.get(t, 0) + c * ct
-                    if s:
-                        acc[t] = s
-                    else:
-                        del acc[t]
-            cache[u] = acc
+            cache[u] = combine((c, cache[v]) for v, c in expansion.items())
             stack.pop()
         return cache[w]
 
     def normal_form_int(self, terms):
         """Normal form of an integer combination {word: coeff}."""
-        out = {}
-        for w, c in terms.items():
-            if not c:
-                continue
-            for t, ct in self.normal_form_word(w).items():
-                s = out.get(t, 0) + c * ct
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
-        return out
+        nf = self.normal_form_word
+        return combine((c, nf(w)) for w, c in terms.items() if c)
 
     # -- irreducible word enumeration --------------------------------------
 

@@ -52,13 +52,6 @@ class LevelDomain:
             raise ValueError("negative level %d in the nat domain" % r)
         return r
 
-    def valid(self, r):
-        if self.kind == "nat":
-            return r >= 0
-        if self.kind == "mod":
-            return 0 <= r < self.modulus
-        return True
-
     def step(self, r, delta):
         """Shift a level by delta; undefined below 0 in the nat domain."""
         if self.kind == "mod":

@@ -99,6 +99,28 @@ def test_equality_and_hash():
     assert bool(F.one) is True
 
 
+def test_equal_scalars_and_numbers_hash_alike():
+    numbers = list(range(-12, 13)) + [Fraction(1, 2), Fraction(4, 2)]
+    for F in (Field.rationals(), Field.prime(2), Field.prime(5)):
+        scalars = []
+        for x in numbers + [Fraction(1, 3)]:
+            try:
+                scalars.append(F.scalar(x))
+            except ZeroDivisionError:  # 1/2 in GF(2)
+                pass
+        for a in scalars:
+            for b in scalars + numbers:
+                if a == b:
+                    assert hash(a) == hash(b), (F, a, b)
+                assert (a == b) == (b == a)
+    F = Field.prime(5)
+    assert F.scalar(1) != 6
+    assert len({F.scalar(1), 6}) == 2
+    assert len({F.scalar(1), 1}) == 1
+    assert F.scalar(3) == Fraction(3, 1)
+    assert F.scalar(3) != Fraction(3, 2)
+
+
 def test_pow():
     F = Field.prime(7)
     assert (F.scalar(3) ** 6).value == 1

@@ -262,6 +262,18 @@ def test_cross_parent_operations_rejected():
     b = FreeHopfAlgebra(2, "free", Field.prime(2)).one()
     with pytest.raises(ValueError):
         a + b
+    ta = FreeHopfAlgebra(2, "free").gen(1, 1, 0).coproduct()
+    tb = FreeHopfAlgebra(3, "free").gen(3, 3, 0).coproduct()
+    with pytest.raises(ValueError):
+        ta + tb
+    with pytest.raises(ValueError):
+        ta - tb
+    with pytest.raises(TypeError):
+        a + ta
+    with pytest.raises(TypeError):
+        ta + a
+    with pytest.raises(TypeError):
+        Field.prime(2).one * ta
     c = FreeHopfAlgebra(2, "ord:1", Field.rationals()).one()
     with pytest.raises(ValueError):
         a * c

@@ -8,7 +8,7 @@ import pytest
 from freehopf import FreeHopfAlgebra
 from freehopf.analysis import _pair_key, _primitive_map
 from freehopf.fields import Field
-from freehopf.linalg import Echelon, kernel
+from freehopf.linalg import Echelon, combine, kernel
 
 from oracles import oracle_kernel, oracle_rank_p, oracle_rank_q
 
@@ -30,6 +30,49 @@ def _dense(vec, ncols, field):
     if field.is_rationals:
         return [vec[c].value if c in vec else Fraction(0) for c in range(ncols)]
     return [vec[c].value if c in vec else 0 for c in range(ncols)]
+
+
+def test_combine_adds_multiples_and_drops_zeros():
+    assert combine([]) == {}
+    assert combine(iter(())) == {}
+    assert combine([(2, {"a": 1, "b": -1}), (1, {"b": 2, "c": 3})]) == {"a": 2, "c": 3}
+    # a zero coefficient, and zero entries in the input, add nothing
+    assert combine([(0, {"a": 5}), (3, {"b": 0})]) == {}
+    # a key that cancels against acc is removed; acc is filled in place
+    acc = {"a": 2, "b": 1}
+    out = combine(((c, {"a": 1, "d": c}) for c in (-1, -1)), acc)
+    assert out is acc
+    assert acc == {"b": 1, "d": 2}
+    assert list(acc) == ["b", "d"]
+    q = Fraction(1, 3)
+    assert combine([(q, {"a": 3, "b": 1}), (-q, {"b": 1})]) == {"a": Fraction(1)}
+
+
+def test_combine_matches_dense_sums_in_each_field():
+    rng = random.Random(5)
+    for field in (Field.rationals(), Field.prime(2), Field.prime(5)):
+        for trial in range(20):
+            ncols = rng.randint(1, 6)
+            acc = _random_sparse(rng, field, ncols) if trial % 2 else None
+            start = _dense(acc or {}, ncols, field)
+            pairs = []
+            for _ in range(rng.randint(0, 4)):
+                c = rng.choice([0, 1, -1, 2, Fraction(1, 3), field.scalar(rng.randint(0, 4))])
+                if isinstance(c, Fraction) and field.characteristic:
+                    c = field.scalar(c)
+                pairs.append((c, _random_sparse(rng, field, ncols)))
+            want = start
+            for c, vec in pairs:
+                cv = c.value if hasattr(c, "value") else c
+                want = [x + cv * y for x, y in zip(want, _dense(vec, ncols, field))]
+                if field.characteristic:
+                    want = [x % field.characteristic for x in want]
+            out = combine(pairs, acc)
+            if acc is not None:
+                assert out is acc
+            assert all(out.values())
+            assert all(isinstance(v, type(field.one)) and v.field is field for v in out.values())
+            assert _dense(out, ncols, field) == want
 
 
 def test_rank_matches_oracle():
