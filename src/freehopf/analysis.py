@@ -14,12 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product as iproduct
 
 from .hopf import Element, FreeHopfAlgebra, Tensor
-from .linalg import Echelon, kernel
+from .linalg import Echelon, combine, kernel
 from .words import UNIT, storage_key, word_str
-
-
-def _pair_key(pair):
-    return (storage_key(pair[0]), storage_key(pair[1]))
 
 
 class Subspace:
@@ -52,6 +48,7 @@ class Subspace:
         return self._ech.contains(el.terms)
 
     def reduce(self, el):
+        self.algebra._check(el)
         return Element(self.algebra, self._ech.reduce(el.terms))
 
     def __eq__(self, other):
@@ -76,30 +73,25 @@ class Subspace:
 # -- distinguished spans -----------------------------------------------------
 
 
+def _level_words(H, levels_seq):
+    """Yield every raw word, reducible or not, with the given level sequence."""
+    seq = [H.domain.canon(r) for r in levels_seq]
+    for ij in iproduct(range(1, H.n + 1), repeat=2 * len(seq)):
+        yield tuple((ij[2 * t], ij[2 * t + 1], r) for t, r in enumerate(seq))
+
+
 def level_span(H, levels_seq):
     """Span of the normal forms of all words with the given level sequence
     (the image of the level-indexed matrix-power coalgebra)."""
-    seq = [H.domain.canon(r) for r in levels_seq]
-    n = H.n
-    els = []
-    for ij in iproduct(range(1, n + 1), repeat=2 * len(seq)):
-        w = tuple((ij[2 * t], ij[2 * t + 1], seq[t]) for t in range(len(seq)))
-        els.append(H.element([(w, 1)]))
-    return Subspace(H, els)
+    return Subspace(H, [H.element([(w, 1)]) for w in _level_words(H, levels_seq)])
 
 
 def irreducible_level_words(H, levels_seq):
     """Irreducible words whose level sequence is exactly the given one,
     in storage order."""
-    seq = [H.domain.canon(r) for r in levels_seq]
-    n = H.n
-    out = []
-    for ij in iproduct(range(1, n + 1), repeat=2 * len(seq)):
-        w = tuple((ij[2 * t], ij[2 * t + 1], seq[t]) for t in range(len(seq)))
-        if H.rules.is_irreducible(w):
-            out.append(w)
-    out.sort(key=storage_key)
-    return out
+    return sorted(filter(H.rules.is_irreducible, _level_words(H, levels_seq)),
+                  key=storage_key)
+
 
 def irreducible_level_span(H, levels_seq):
     """Span of the irreducible words with the given level sequence."""
@@ -155,34 +147,41 @@ class Verdict:
         return out
 
 
-def _pair_echelon(V, W):
-    ech = Echelon(V.algebra.field, key=_pair_key)
-    for bv in V.basis():
-        for bw in W.basis():
-            vec = {}
-            for wa, ca in bv.terms.items():
-                for wb, cb in bw.terms.items():
-                    vec[(wa, wb)] = ca * cb
-            ech.insert(vec)
-    return ech
+def _tensor_remainder(terms, V, W):
+    """Canonical remainder of the tensor terms modulo V (x) W.
+
+    The echelon rows of V and W are fully reduced, so the projection onto V
+    along the non-pivot words reads x at the pivots: pi_V(x) = sum over
+    pivots p of x[p] * row_p.  The pair rows row_p (x) row_q span V (x) W
+    and are themselves fully reduced under the lexicographic pair order, so
+    the canonical remainder is t - (pi_V (x) pi_W)(t)."""
+    rv, rw = V._ech.rows, W._ech.rows
+    return combine(
+        ((-c * ca, {(x, y): cb for y, cb in rw[q].items()})
+         for (p, q), c in terms.items() if p in rv and q in rw
+         for x, ca in rv[p].items()),
+        dict(terms),
+    )
 
 
 def tensor_membership(t, V, W):
     """True iff the tensor t lies in V (x) W."""
     if not isinstance(t, Tensor):
         raise TypeError("expected a Tensor")
-    return _pair_echelon(V, W).contains(t.terms)
+    if not t.parent == V.algebra == W.algebra:
+        raise ValueError("tensor of %r tested against spans in %r and %r"
+                         % (t.parent, V.algebra, W.algebra))
+    return not _tensor_remainder(t.terms, V, W)
 
 
 def is_subcoalgebra(V):
     """Verdict on Delta(V) being contained in V (x) V, with a witness basis
     element and an offending tensor component on failure."""
     H = V.algebra
-    ech = _pair_echelon(V, V)
     for b in V.basis():
-        rem = ech.reduce(H.coproduct(b).terms)
+        rem = _tensor_remainder(H.coproduct(b).terms, V, V)
         if rem:
-            pair = max(rem, key=_pair_key)
+            pair = max(rem, key=Tensor._sort_key)
             return Verdict(
                 False,
                 witness=b,
@@ -204,8 +203,8 @@ def largest_subcoalgebra(V):
     W = V
     while W.dim:
         basis = W.basis()
-        ech = _pair_echelon(W, W)
-        pairs = [(t, ech.reduce(H.coproduct(b).terms)) for t, b in enumerate(basis)]
+        pairs = [(t, _tensor_remainder(H.coproduct(b).terms, W, W))
+                 for t, b in enumerate(basis)]
         combos = kernel(H.field, pairs)
         if len(combos) == W.dim:
             break

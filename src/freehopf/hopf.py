@@ -133,16 +133,6 @@ class FreeHopfAlgebra:
             for c, raw in scaled if c
         ))
 
-    def _element_from_int(self, terms):
-        """Element from an integer combination of already-irreducible words."""
-        p = self.field.characteristic
-        acc = {}
-        for w, k in terms.items():
-            c = self.field.scalar(k % p if p else k)
-            if c:
-                acc[w] = c
-        return Element(self, acc)
-
     def basis_words(self, max_len, levels=None):
         """Irreducible words of length <= max_len (the level window is
         required for the free and bij variants, ignored for ord)."""

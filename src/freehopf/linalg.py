@@ -11,14 +11,14 @@ Two eliminations live here:
 
 * An Echelon keeps a fully reduced row set: each row is normalized to
   leading coefficient 1 on its pivot (the largest key in the row under the
-  chosen ordering, such as ``storage_key`` for words) and contains no other
-  row's pivot, so reduction against it yields canonical remainders.  Subspace
-  equality, basis order and printing rely on these canonical rows.
-* kernel runs its own semi-echelon elimination on interned column ids: each
-  key becomes an int in the order keys are first seen, a row's pivot is its
-  largest id, and stored rows are never back-substituted.  The keys need no
-  mutual order, and the arithmetic runs on the fields' plain values (ints
-  mod p or Fractions).
+  chosen ordering, ``storage_key`` on words in the package) and contains
+  no other row's pivot, so reduction against it yields canonical
+  remainders.  Subspace equality, basis order and printing rely on them.
+* kernel, the only elimination on word-pair keys, runs a semi-echelon
+  elimination on interned column ids: each key becomes an int in the order
+  keys are first seen, a row's pivot is its largest id, and stored rows
+  are never back-substituted.  The keys need no mutual order, and the
+  arithmetic runs on the fields' plain values (ints mod p or Fractions).
 """
 
 

@@ -8,12 +8,16 @@ axiom residuals against a per-field comparison built on the package's
 structure maps, oracle_scan_gf2, which reads the package's word
 coproducts, and oracle_check_confluence, which resolves every ambiguity
 with the package's rules and normal forms.  oracle_kernel is the tracked,
-fully reduced elimination that freehopf.linalg.kernel replaced.
+fully reduced elimination that freehopf.linalg.kernel replaced, and
+oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
+the pair products, the route that freehopf.analysis._tensor_remainder
+replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
+from freehopf.linalg import Echelon
 from freehopf.rewrite import AmbiguityRecord, ConfluenceReport, RuleSet
 from freehopf.words import UNIT, storage_key, word_str
 
@@ -155,6 +159,20 @@ def oracle_kernel(field, pairs, key=None):
                 _sub_scaled(combs[q], c, comb)
         rows[m], combs[m] = row, comb
     return out
+
+
+def oracle_tensor_remainder(terms, V, W):
+    """Canonical remainder of the tensor terms modulo V (x) W, from a fully
+    reduced Echelon of every product of a V basis element and a W basis
+    element, keyed by word pairs in lexicographic storage order."""
+    ech = Echelon(V.algebra.field,
+                  key=lambda pair: (storage_key(pair[0]), storage_key(pair[1])))
+    for bv in V.basis():
+        for bw in W.basis():
+            ech.insert({(wa, wb): ca * cb
+                        for wa, ca in bv.terms.items()
+                        for wb, cb in bw.terms.items()})
+    return ech.reduce(terms)
 
 
 def oracle_verify_axioms(H, max_len, levels=None, max_examples=5):

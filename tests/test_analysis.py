@@ -25,13 +25,15 @@ from freehopf import (
 from freehopf.analysis import (
     Verdict,
     _scan_gf2,
+    _tensor_remainder,
     enumerate_rref,
     irreducible_level_words,
 )
 
+from freehopf.hopf import Tensor
 from freehopf.words import storage_key
 
-from oracles import oracle_rank_p, oracle_scan_gf2
+from oracles import oracle_rank_p, oracle_scan_gf2, oracle_tensor_remainder
 
 H1Q = FreeHopfAlgebra(2, "ord:1", Field.rationals())
 H1F2 = FreeHopfAlgebra(2, "ord:1", Field.prime(2))
@@ -111,6 +113,67 @@ def test_tensor_membership():
     assert tensor_membership(y.coproduct(), C, C)
     with pytest.raises(TypeError):
         tensor_membership(x, D, D)
+
+
+def test_tensor_membership_rejects_foreign_algebras():
+    D = alternating_span(H1F2, (0, 1))
+    x = parse_element("x[1,2;0]*x[2,1;1]", H1F2)
+    D2 = alternating_span(H2F2, (0, 1))
+    x2 = parse_element("x[1,2;0]*x[2,1;1]", H2F2)
+    for t, V, W in ((x.coproduct(), D2, D2), (x2.coproduct(), D, D),
+                    (x.coproduct(), D, D2), (x.coproduct(), D2, D)):
+        with pytest.raises(ValueError):
+            tensor_membership(t, V, W)
+
+
+def test_subspace_reduce_rejects_foreign_element():
+    D = alternating_span(H1F2, (0, 1))
+    with pytest.raises(ValueError):
+        D.reduce(FreeHopfAlgebra(3, "free", Field.prime(2)).gen(3, 3, 0))
+    with pytest.raises(ValueError):
+        D.reduce(H2F2.gen(1, 1, 0))
+
+
+def _random_span(rng, H, seqs, count):
+    """Span of random combinations of words at the given level sequences."""
+    pool = [w for seq in seqs for w in irreducible_level_words(H, seq)]
+    p = H.field.characteristic or 5
+    return Subspace(H, [
+        H.element([(rng.choice(pool), rng.randrange(1, p))
+                   for _ in range(rng.randint(1, 4))])
+        for _ in range(count)
+    ])
+
+
+@pytest.mark.parametrize("tok", ("q", "f2", "f3"))
+def test_tensor_remainder_matches_pair_echelon_oracle(tok):
+    rng = random.Random(17)
+    H = FreeHopfAlgebra(2, "ord:1", Field.from_token(tok))
+    levels = ((0,), (1,), (0, 1), (1, 0))
+    p = H.field.characteristic or 5
+    for trial in range(12):
+        V = _random_span(rng, H, rng.sample(levels, 2), rng.randint(0, 7))
+        W = V if trial % 3 == 0 else _random_span(
+            rng, H, rng.sample(levels, 2), rng.randint(0, 7))
+        if trial == 1:
+            V = Subspace(H)
+        words = [w for S in (V, W) for b in S.basis() for w in b.terms]
+        words += irreducible_level_words(H, rng.choice(levels))
+        tensors = [b.coproduct().terms for b in V.basis() + W.basis()]
+        for _ in range(4):
+            # a random member of V (x) W plus random word pairs
+            t = Tensor(H, {})
+            for _ in range(min(V.dim, W.dim, 3)):
+                t = t + rng.randrange(1, p) * H.tensor(
+                    rng.choice(V.basis()), rng.choice(W.basis()))
+            terms = dict(t.terms)
+            for _ in range(rng.randint(0, 8)):
+                terms[(rng.choice(words), rng.choice(words))] = (
+                    H.field.scalar(rng.randrange(1, p)))
+            tensors.append(terms)
+        for terms in tensors:
+            assert _tensor_remainder(terms, V, W) == oracle_tensor_remainder(terms, V, W)
+            assert _tensor_remainder(terms, W, V) == oracle_tensor_remainder(terms, W, V)
 
 
 def test_find_primitives_zero_on_grid():
@@ -316,6 +379,14 @@ def test_largest_subcoalgebra_fixed_points():
     # and so does the zero space
     Z = Subspace(H1F2)
     assert largest_subcoalgebra(Z) == Z
+
+
+def test_largest_subcoalgebra_of_full_ord2_gf2_span():
+    # all 241 irreducible words of length <= 2 span a subcoalgebra
+    V = Subspace.from_words(H2F2, H2F2.basis_words(2))
+    assert V.dim == 241
+    assert is_subcoalgebra(V).ok
+    assert largest_subcoalgebra(V) == V
 
 
 def test_scan_exhaustive_generic_p_matches_candidate():

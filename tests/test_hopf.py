@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from freehopf import Field, FreeHopfAlgebra, parse_element
-from freehopf.hopf import parse_variant
+from freehopf.hopf import Element, parse_variant
 from freehopf.words import UNIT, LevelDomain
 
 from oracles import oracle_verify_axioms
@@ -105,10 +105,10 @@ def test_coproduct_is_an_algebra_map():
             for (a1, a2), ca in da.terms.items():
                 for (b1, b2), cb in db.terms.items():
                     c = ca * cb
-                    e1 = H.multiply(H._element_from_int({a1: 1}),
-                                    H._element_from_int({b1: 1}))
-                    e2 = H.multiply(H._element_from_int({a2: 1}),
-                                    H._element_from_int({b2: 1}))
+                    e1 = H.multiply(Element(H, {a1: H.field.one}),
+                                    Element(H, {b1: H.field.one}))
+                    e2 = H.multiply(Element(H, {a2: H.field.one}),
+                                    Element(H, {b2: H.field.one}))
                     for w1, c1 in e1.terms.items():
                         for w2, c2 in e2.terms.items():
                             key = (w1, w2)
@@ -158,8 +158,8 @@ def test_antipode_convolution_identity():
             g = H.gen(i, j, 0)
             acc = H.zero()
             for (w1, w2), c in g.coproduct().terms.items():
-                s = H._element_from_int({w1: 1}).antipode()
-                acc = acc + c * (s * H._element_from_int({w2: 1}))
+                s = Element(H, {w1: H.field.one}).antipode()
+                acc = acc + c * (s * Element(H, {w2: H.field.one}))
             expect = H.one() if i == j else H.zero()
             assert acc == expect
 
