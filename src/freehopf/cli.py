@@ -16,6 +16,7 @@ whatever their answer; pass --expect to gate on it.
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -286,6 +287,23 @@ def _run(args):
     raise ValueError("unknown command %r" % cmd)
 
 
+def _print_lines(lines):
+    """Print to stdout.  If the reader has gone (as with `| head`), the rest
+    of the output, and the flush at exit, go to devnull."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError):  # a stdout with no file descriptor
+            sys.stdout = os.fdopen(devnull, "w")
+        else:
+            os.close(devnull)
+
+
 def main(argv=None):
     parser = build_parser()
     if argv is None:
@@ -297,10 +315,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps(payload, indent=2, sort_keys=True, default=str)]
+    _print_lines(lines)
     if args.expect is not None:
         return 0 if primary.lower() == args.expect.strip().lower() else 1
     return code

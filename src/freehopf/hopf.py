@@ -15,26 +15,30 @@ Structure maps on a letter x[i,j;r]:
   antipode     S(x[i,j;r]) = x[j,i;r+1], extended as an anti-homomorphism
 
 Single-word coproducts and normal forms have integer coefficients, so they
-are cached per (n, domain) and shared across coefficient fields.  So are
-the Hopf-axiom residuals: verify_axioms computes them once over Z per
-(n, variant, max_len, window), keeps the gcd of each residual's
-coefficients, and projects that gcd to each field.
+are cached per (n, domain) and shared across coefficient fields.
+
+verify_axioms proves the Hopf axioms at every length from
+certify_hopf_ideal, a finite certificate that the rules generate a Hopf
+ideal, and sweeps the basis words only when the certificate fails.  Both
+compute integer gcds once per (type, RuleSet), the sweep also per
+(max_len, window), and project them to each field.
 
 The maps on elements are linalg.combine over the single-word maps, with
 field coefficients in place of integers; there is one antipode path,
-antipode_int, for Z and for every field.  delta_word and the axiom
+antipode_int, for Z and for every field.  _delta_terms and the axiom
 residuals accumulate inline, because they build their keys (word pairs,
 triples) as they go and the residuals keep zeros for the gcd.  Element and
 Tensor share their arithmetic, equality and printing through one private
 base class.
 """
 
+import time
 from itertools import product as iproduct
 from math import gcd
 
 from .fields import Field
 from .linalg import combine
-from .rewrite import rules_for
+from .rewrite import RULE_NAMES, check_confluence, rules_for
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
 _DELTA_CACHES = {}
@@ -42,6 +46,15 @@ _DELTA_CACHES = {}
 # Integer axiom residuals per (algebra type, RuleSet, max_len, window); each
 # entry holds a word count and the words with a nonzero residual gcd.
 _RESIDUAL_CACHE = {}
+
+# Integer Hopf-ideal certificates per (algebra type, RuleSet); each entry
+# holds, per check, the (label, gcd) of every item with a nonzero gcd, and
+# the work done.
+_CERTIFICATE_CACHE = {}
+
+# The single-word maps the certificate argues from: a subclass that
+# overrides one of them keeps the per-word sweep.
+_LETTER_MAPS = ("delta_word", "_delta_terms", "counit_word", "antipode_raw_word", "antipode_int")
 
 AXIOMS = (
     "coassociativity", "counit_left", "counit_right",
@@ -145,8 +158,13 @@ class FreeHopfAlgebra:
         both legs reduced; cached per (n, domain)."""
         cache = _DELTA_CACHES.setdefault(self.rules, {})
         hit = cache.get(w)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = cache[w] = self._delta_terms(w)
+        return hit
+
+    def _delta_terms(self, w):
+        """(nf (x) nf) Delta(w) for any word w, reducible or not, as a new
+        dict; uncached, so reducible words stay out of _DELTA_CACHES."""
         n = self.n
         nf = self.rules.normal_form_word
         acc = {}
@@ -162,7 +180,6 @@ class FreeHopfAlgebra:
                         acc[key] = s
                     else:
                         del acc[key]
-        cache[w] = acc
         return acc
 
     @staticmethod
@@ -239,25 +256,34 @@ class FreeHopfAlgebra:
           anti_coalgebra      Delta(S(w)) = twist (S(x)S) Delta(w)
           antipode_order      S^(2d)(w) = w   (ord variant only)
 
-        Both sides of every axiom have integer coefficients, so the
-        residuals are computed once over Z per (n, variant, max_len, window)
-        and shared by all fields: a word fails an axiom over GF(p) iff p
-        does not divide the gcd g of the residual's coefficients (over Q,
-        iff g != 0).
+        Certificate, then sweep: the basis words are enumerated first (so
+        words_checked and every window error are the sweep's).  If
+        certify_hopf_ideal passes over this field, every axiom holds on
+        every word and the all-zero report is returned.  Otherwise, or when
+        a subclass overrides a single-word map the certificate argues from,
+        each word's residuals are computed: once over Z per (n, variant,
+        max_len, window) and shared by all fields, since a word fails an
+        axiom over GF(p) iff p does not divide the gcd g of the residual's
+        coefficients (over Q, iff g != 0).  A modular domain ignores the
+        window and reports levels None.
         """
         names = list(AXIOMS)
         if self.antipode_order_bound:
             names.append("antipode_order")
-        words_checked, residues = self._integer_residuals(max_len, levels)
-        p = self.field.characteristic
+        if self.domain.kind == "mod":
+            levels = None
+        words_checked = len(self.basis_words(max_len, levels))
         failures = {name: 0 for name in names}
         examples = {name: [] for name in names}
-        for w, gcds in residues:
-            for name, g in zip(names, gcds):
-                if g % p if p else g:
-                    failures[name] += 1
-                    if len(examples[name]) < max_examples:
-                        examples[name].append(word_str(w))
+        if not (self._maps_from_letters() and self.certify_hopf_ideal(0)["ok"]):
+            _, residues = self._integer_residuals(max_len, levels)
+            p = self.field.characteristic
+            for w, gcds in residues:
+                for name, g in zip(names, gcds):
+                    if g % p if p else g:
+                        failures[name] += 1
+                        if len(examples[name]) < max_examples:
+                            examples[name].append(word_str(w))
 
         residuals = sum(failures.values())
         return {
@@ -270,6 +296,112 @@ class FreeHopfAlgebra:
             "residuals": residuals,
             "ok": residuals == 0,
         }
+
+    @classmethod
+    def _maps_from_letters(cls):
+        """Are the single-word structure maps this class's own, defined on
+        letters and extended (anti-)multiplicatively?"""
+        return all(getattr(cls, name) is getattr(FreeHopfAlgebra, name) for name in _LETTER_MAPS)
+
+    def certify_hopf_ideal(self, max_examples=5):
+        """Prove the Hopf axioms on every word, at every length, from a
+        finite certificate that the rules generate a Hopf ideal.
+
+        The algebra is F/I: F the free algebra on the letters, where Delta
+        and eps are algebra maps and S an anti-algebra map fixed by their
+        values on letters, and I the ideal generated by lhs - rhs over the
+        rule instances.  Checks:
+          confluence  every ambiguity resolves (check_confluence), so the
+                      irreducible words are a basis of F/I and nf projects
+                      F onto it with kernel I (Bergman's diamond lemma);
+          delta       (nf(x)nf) Delta(lhs) = (nf(x)nf) Delta(rhs),
+          counit      eps(lhs) = eps(rhs),
+          antipode    nf S(lhs) = nf S(rhs), for every rule instance
+                      lhs -> rhs, so Delta, eps and S map I into
+                      I(x)F + F(x)I, 0 and I, and are well defined on F/I;
+          letters     every axiom of verify_axioms holds on the unit and
+                      the letters.
+        Each axiom's two sides are then (anti-)multiplicative maps that
+        agree on generators, so the set where the axiom holds is a
+        subalgebra containing the letters: all of F/I (Takeuchi).
+
+        Every ambiguity spans at most 5 consecutive levels and every rule
+        instance at most 3, and all the maps commute with level
+        translation, so nat/int domains check the window (0, 4) for
+        confluence, the instances of window (0, 2) and the letters of level
+        0; modular domains check everything.  Each item's integer residual
+        is reduced to the gcd of its coefficients once per (type, RuleSet),
+        and an item fails over GF(p) iff p does not divide that gcd (over
+        Q, iff it is nonzero).
+
+        The report gives per-check failure counts, up to max_examples
+        failing items per check, ok, the seconds this call took (a cached
+        certificate costs only the projection), and the work done:
+        ambiguities found and resolved directly (the rest by symmetry),
+        rule instances and letters checked.  The argument needs the maps
+        fixed by letters, so a subclass that overrides a single-word map
+        gets a TypeError.
+        """
+        if not self._maps_from_letters():
+            raise TypeError("%s overrides a single-word structure map; the Hopf-ideal "
+                            "certificate holds only for maps fixed by letters" % type(self).__name__)
+        start = time.perf_counter()
+        checks, work = self._integer_certificate()
+        p = self.field.characteristic
+        failures, examples = {}, {}
+        for check, residues in checks.items():
+            bad = [label for label, g in residues if (g % p if p else g)]
+            failures[check] = len(bad)
+            if bad and max_examples:
+                examples[check] = bad[:max_examples]
+        return {
+            "config": self.describe(),
+            "failures": failures,
+            "failure_examples": examples,
+            "ok": not any(failures.values()),
+            "elapsed": time.perf_counter() - start,
+            "work": dict(work),
+        }
+
+    def _integer_certificate(self):
+        """({check: [(label, gcd), ...]}, work) of certify_hopf_ideal over Z,
+        keeping only items with a nonzero gcd; cached per (type, RuleSet)."""
+        cache_key = (type(self), self.rules)
+        hit = _CERTIFICATE_CACHE.get(cache_key)
+        if hit is not None:
+            return hit
+        rules = self.rules
+        mod = self.domain.kind == "mod"
+
+        confluence = check_confluence(self.n, self.domain, None if mod else (0, 4))
+        ambiguities = [
+            ("%s (%s at %d, %s at %d)" % (word_str(r.word), RULE_NAMES[r.match_a[0]],
+                                          r.match_a[1], RULE_NAMES[r.match_b[0]], r.match_b[1]),
+             gcd(*combine(((-1, r.nf_b),), dict(r.nf_a)).values()))
+            for r in confluence.unresolved
+        ]
+
+        instances = rules.rule_instances(None if mod else (0, 2))
+        delta, counit, anti = [], [], []
+        for rule, lhs in instances:
+            rhs = rules.reduce_once(lhs, rule, 0)
+            label = "%s %s" % (RULE_NAMES[rule], word_str(lhs))
+            d = combine(((-c, self._delta_terms(u)) for u, c in rhs.items()), self._delta_terms(lhs))
+            e = self.counit_word(lhs) - sum(c * self.counit_word(u) for u, c in rhs.items())
+            s = combine(((-1, self.antipode_int(rhs)),), self.antipode_int({lhs: 1}))
+            for out, g in ((delta, gcd(*d.values())), (counit, abs(e)), (anti, gcd(*s.values()))):
+                if g:
+                    out.append((label, g))
+
+        words, residues = self._integer_residuals(1, None if mod else (0, 0))
+        letters = [(word_str(w), gcd(*gcds)) for w, gcds in residues]
+
+        checks = {"confluence": ambiguities, "delta": delta, "counit": counit,
+                  "antipode": anti, "letters": letters}
+        work = {"ambiguities": confluence.total, "ambiguities_checked": confluence.checked,
+                "rule_instances": len(instances), "letters": words - 1}
+        hit = _CERTIFICATE_CACHE[cache_key] = (checks, work)
+        return hit
 
     def _integer_residuals(self, max_len, levels):
         """(words_checked, [(w, gcds), ...]): for each basis word, in basis

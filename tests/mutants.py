@@ -1,0 +1,47 @@
+"""Broken rewriting rules, shared by the confluence and Hopf-ideal
+certificate tests.
+
+An edit takes (w, rule, pos, out), where out is the right-hand side the real
+RuleSet.reduce_once gives for w at pos, and returns a broken one;
+patch_reduce_once installs it for one test.
+"""
+
+from freehopf.rewrite import R1, R2, R3, RuleSet
+from freehopf.words import storage_key
+
+
+def patch_reduce_once(monkeypatch, edit):
+    original = RuleSet.reduce_once
+
+    def broken(self, w, rule, pos):
+        return edit(w, rule, pos, original(self, w, rule, pos))
+
+    monkeypatch.setattr(RuleSet, "reduce_once", broken)
+
+
+def _drop_unit_term(rules, w, rule, pos, out):
+    if rule in rules and w[pos][0] == w[pos + 1][0] and w[pos][1] == w[pos + 1][1]:
+        out.pop(w[:pos] + w[pos + 2:], None)
+    return out
+
+
+def drop_delta(w, rule, pos, out):
+    """The d(i,j) term of R1 and R2 dropped."""
+    return _drop_unit_term((R1, R2), w, rule, pos, out)
+
+
+def drop_delta_r1(w, rule, pos, out):
+    """The d(i,j) term of R1 alone dropped."""
+    return _drop_unit_term((R1,), w, rule, pos, out)
+
+
+# an R3 instance of the mod-4 domain at n = 2
+BROKEN_R3 = ((1, 2, 2), (1, 1, 3), (1, 1, 0))
+
+
+def break_one(w, rule, pos, out):
+    """The largest term of the one R3 instance BROKEN_R3 dropped."""
+    if rule == R3 and w[pos:pos + 3] == BROKEN_R3:
+        out = dict(out)
+        del out[max(out, key=storage_key)]
+    return out

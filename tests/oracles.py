@@ -184,6 +184,7 @@ def oracle_verify_axioms(H, max_len, levels=None, max_examples=5):
     Uses the package's H.delta_word, H.antipode_int and
     H.rules.normal_form_word for the structure maps, so it checks the
     residual bookkeeping and the field projection, not the maps themselves.
+    A modular domain ignores the window and reports levels None.
     """
     p = H.field.characteristic
 
@@ -265,7 +266,7 @@ def oracle_verify_axioms(H, max_len, levels=None, max_examples=5):
     return {
         "config": H.describe(),
         "max_len": max_len,
-        "levels": list(levels) if levels else None,
+        "levels": list(levels) if levels and H.domain.kind != "mod" else None,
         "words_checked": len(words),
         "failures": failures,
         "failure_examples": {k: v for k, v in examples.items() if v},

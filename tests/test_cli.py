@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON mode, file inputs."""
 
+import io
 import json
+import sys
 
 from freehopf.cli import main
 
@@ -198,3 +200,21 @@ def test_scan_exhaustive_prints_core_dim(capsys):
     lines = out.splitlines()
     assert "subspaces\t3309747" in lines and "core_dim\t4" in lines
     assert "found\t1" in lines
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as with `freehopf ... | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_keeps_the_exit_code(monkeypatch, capsys):
+    for argv, code in ((["axioms", "--variant", "ord:1", "--json"], 0),
+                       (["axioms", "--variant", "ord:1"], 0),
+                       (["axioms", "--variant", "ord:1", "--expect", "false"], 1)):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(argv) == code
+        print("rest of the output")  # goes to devnull, not to the closed pipe
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""

@@ -5,10 +5,11 @@ from itertools import product as iproduct
 
 import pytest
 
-from freehopf import Field, FreeHopfAlgebra, parse_element
+from freehopf import Field, FreeHopfAlgebra, hopf, parse_element, rewrite
 from freehopf.hopf import Element, parse_variant
 from freehopf.words import UNIT, LevelDomain
 
+from mutants import break_one, drop_delta, drop_delta_r1, patch_reduce_once
 from oracles import oracle_verify_axioms
 
 
@@ -255,6 +256,99 @@ def test_negated_antipode_residuals_project_by_gcd(variant, levels):
             assert rep["failures"]["antipode_order"] == rep["words_checked"]
     # and the real algebra still reads its own, clean entry
     assert FreeHopfAlgebra(2, variant, Field.prime(3)).verify_axioms(2, levels)["ok"]
+
+
+def test_mod_axioms_ignore_the_window():
+    # the window is ignored on a modular domain: the report records none,
+    # and the sweep's integer residuals are computed once
+    H = NegatedAntipode(2, "ord:1", Field.rationals())
+    report = H.verify_axioms(2, (0, 1))
+    assert report["levels"] is None
+    assert report == H.verify_axioms(2) == oracle_verify_axioms(H, 2, (0, 1))
+    keys = [k for k in hopf._RESIDUAL_CACHE if k[:3] == (NegatedAntipode, H.rules, 2)]
+    assert keys == [(NegatedAntipode, H.rules, 2, None)]
+    assert FreeHopfAlgebra(2, "ord:1").verify_axioms(2, (0, 1))["levels"] is None
+
+
+CERT_CONFIGS = (("free", (0, 2)), ("bij", (-1, 1)), ("ord:1", None), ("ord:2", None))
+CHECKS = {"confluence", "delta", "counit", "antipode", "letters"}
+
+
+@pytest.mark.parametrize("n,max_len", ((2, 3), (3, 2)))
+@pytest.mark.parametrize("variant,levels", CERT_CONFIGS)
+def test_certificate_passes_and_the_sweep_agrees(n, variant, levels, max_len):
+    for tok in FIELD_TOKENS:
+        cert = FreeHopfAlgebra(n, variant, Field.from_token(tok)).certify_hopf_ideal()
+        assert cert["ok"] and set(cert["failures"]) == CHECKS
+        assert not any(cert["failures"].values()) and cert["failure_examples"] == {}
+    # the per-word integer sweep is the oracle: no word has a residue
+    H = FreeHopfAlgebra(n, variant)
+    words, residues = H._integer_residuals(max_len, levels)
+    assert words == len(H.basis_words(max_len, levels)) and residues == []
+
+
+def test_certificate_report_content():
+    cert = FreeHopfAlgebra(2, "ord:1", Field.prime(3)).certify_hopf_ideal()
+    assert set(cert) == {"config", "failures", "failure_examples", "ok", "elapsed", "work"}
+    assert cert["config"] == {"n": 2, "variant": "ord:1", "field": "f3", "domain": "Z/2"}
+    assert isinstance(cert["elapsed"], float) and cert["elapsed"] >= 0
+    # all 276 ambiguities of the mod-2 domain, 8 R1/R2 and 16 R3/R4
+    # instances per level, the 2 * 4 letters
+    assert cert["work"] == {"ambiguities": 276, "ambiguities_checked": 70,
+                            "rule_instances": 48, "letters": 8}
+    # nat/int check one window: 5 levels of ambiguities, the instances of
+    # levels 0..2 and the letters of level 0
+    work = FreeHopfAlgebra(2, "free").certify_hopf_ideal()["work"]
+    assert (work["ambiguities"], work["rule_instances"], work["letters"]) == (336, 32, 4)
+    report = FreeHopfAlgebra(2, "ord:1", Field.prime(3)).verify_axioms(2)
+    assert set(report) == {"config", "max_len", "levels", "words_checked", "failures",
+                           "failure_examples", "residuals", "ok"}
+
+
+# counts: failing rule instances under delta, counit and antipode, and
+# failing letters, over Q
+@pytest.mark.parametrize("edit,variant,levels,counts", (
+    (drop_delta, "ord:1", None, (32, 8, 8, 4)),
+    (drop_delta_r1, "ord:1", None, (32, 4, 12, 4)),
+    (drop_delta, "free", (0, 1), (12, 8, 0, 2)),
+    (break_one, "ord:2", None, (8, 0, 2, 0)),
+))
+def test_certificate_fails_on_broken_rules(monkeypatch, edit, variant, levels, counts):
+    # a certificate cached before the patch must not be read after it
+    assert FreeHopfAlgebra(2, variant).certify_hopf_ideal()["ok"]
+    monkeypatch.setattr(rewrite, "_RULESETS", {})
+    patch_reduce_once(monkeypatch, edit)
+    for tok in FIELD_TOKENS:
+        H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
+        cert = H.certify_hopf_ideal(max_examples=2)
+        assert not cert["ok"] and cert["failures"]["confluence"] > 0
+        for check, examples in cert["failure_examples"].items():
+            assert 0 < len(examples) <= min(2, cert["failures"][check])
+        if tok == "q":
+            assert tuple(cert["failures"][c] for c in ("delta", "counit", "antipode",
+                                                        "letters")) == counts
+        # the sweep runs, and its report is the per-field oracle's
+        report = H.verify_axioms(2, levels)
+        assert not report["ok"]
+        assert report == oracle_verify_axioms(H, 2, levels)
+    monkeypatch.undo()
+    assert FreeHopfAlgebra(2, variant).certify_hopf_ideal()["ok"]
+
+
+def test_certificate_keeps_reducible_words_out_of_the_delta_cache(monkeypatch):
+    monkeypatch.setattr(rewrite, "_RULESETS", {})
+    for variant in ("free", "ord:2"):
+        H = FreeHopfAlgebra(2, variant)
+        assert H.certify_hopf_ideal()["ok"]
+        cached = hopf._DELTA_CACHES[H.rules]
+        assert cached and all(H.rules.is_irreducible(w) for w in cached)
+
+
+def test_certificate_refuses_overridden_maps():
+    with pytest.raises(TypeError):
+        NegatedAntipode(2, "ord:1").certify_hopf_ideal()
+    assert not NegatedAntipode._maps_from_letters()
+    assert FreeHopfAlgebra._maps_from_letters()
 
 
 def test_cross_parent_operations_rejected():

@@ -9,6 +9,7 @@ from freehopf import rewrite
 from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
 from freehopf.words import LevelDomain, Ordering, compare_words
 
+from mutants import break_one, drop_delta, patch_reduce_once
 from oracles import oracle_check_confluence, oracle_irreducible_count, oracle_reducible
 
 NAT = LevelDomain.nat()
@@ -287,15 +288,6 @@ def test_confluence_leaves_shared_cache_alone():
     assert len(rs._nf) == before
 
 
-def _patch_reduce_once(monkeypatch, edit):
-    original = RuleSet.reduce_once
-
-    def broken(self, w, rule, pos):
-        return edit(w, rule, pos, original(self, w, rule, pos))
-
-    monkeypatch.setattr(RuleSet, "reduce_once", broken)
-
-
 def _assert_same_report(report, oracle):
     assert report == oracle
     assert report.describe() == oracle.describe()
@@ -310,12 +302,7 @@ def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, windo
     # words where R1 and R2 match at one position; the flip swaps them, and
     # the leftmost strategy does not, so on the broken rules some mapped
     # normal forms differ from those a direct computation gives.
-    def drop_delta(w, rule, pos, out):
-        if rule in (R1, R2) and w[pos][0] == w[pos + 1][0] and w[pos][1] == w[pos + 1][1]:
-            out.pop(w[:pos] + w[pos + 2:], None)
-        return out
-
-    _patch_reduce_once(monkeypatch, drop_delta)
+    patch_reduce_once(monkeypatch, drop_delta)
     rs = RuleSet(2, dom)
     order = CONFLUENCE_PINNED[(2, dom, window)][1]
     assert len(rewrite._verified_symmetries(rs, rs.rule_instances(window), window)) == order
@@ -330,17 +317,9 @@ def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, windo
 def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
     # drop one term of a single R3 instance; no nontrivial symmetry commutes
     # with that, so every orbit is a single ambiguity
-    w0 = ((1, 2, 2), (1, 1, 3), (1, 1, 0))
-
-    def break_one(w, rule, pos, out):
-        if rule == R3 and w[pos:pos + 3] == w0:
-            out = dict(out)
-            del out[max(out, key=rewrite.storage_key)]
-        return out
-
     rs = RuleSet(2, MOD4)
     assert len(rewrite._verified_symmetries(rs, rs.rule_instances(), None)) == 8
-    _patch_reduce_once(monkeypatch, break_one)
+    patch_reduce_once(monkeypatch, break_one)
     assert len(rewrite._verified_symmetries(rs, rs.rule_instances(), None)) == 1
     report = check_confluence(2, MOD4)
     oracle = oracle_check_confluence(2, MOD4)
