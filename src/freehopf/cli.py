@@ -296,12 +296,8 @@ def _print_lines(lines):
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        except (AttributeError, OSError):  # a stdout with no file descriptor
-            sys.stdout = os.fdopen(devnull, "w")
-        else:
-            os.close(devnull)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None):

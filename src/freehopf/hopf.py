@@ -19,8 +19,9 @@ are cached per (n, domain) and shared across coefficient fields.
 
 verify_axioms proves the Hopf axioms at every length from
 certify_hopf_ideal, a finite certificate that the rules generate a Hopf
-ideal, and sweeps the basis words only when the certificate fails.  Both
-compute integer gcds once per (type, RuleSet), the sweep also per
+ideal, and sweeps the basis words only when the certificate fails or
+max_len <= 1 (then the words are the letters, which it checks anyway).
+Both compute integer gcds once per (type, RuleSet), the sweep also per
 (max_len, window), and project them to each field.
 
 The maps on elements are linalg.combine over the single-word maps, with
@@ -55,6 +56,13 @@ _CERTIFICATE_CACHE = {}
 # The single-word maps the certificate argues from: a subclass that
 # overrides one of them keeps the per-word sweep.
 _LETTER_MAPS = ("delta_word", "_delta_terms", "counit_word", "antipode_raw_word", "antipode_int")
+
+
+def _fails(g, p):
+    """Is an integer residual whose coefficients have gcd g nonzero in
+    characteristic p?"""
+    return g % p if p else g
+
 
 AXIOMS = (
     "coassociativity", "counit_left", "counit_right",
@@ -165,13 +173,15 @@ class FreeHopfAlgebra:
     def _delta_terms(self, w):
         """(nf (x) nf) Delta(w) for any word w, reducible or not, as a new
         dict; uncached, so reducible words stay out of _DELTA_CACHES."""
-        n = self.n
         nf = self.rules.normal_form_word
+        mids = range(1, self.n + 1)
+        # x[i,j;r] -> sum_a x[i,a;r] (x) x[a,j;r]: the two legs run over the
+        # same middle indices in the same order
+        lefts = iproduct(*[[(i, a, r) for a in mids] for i, _, r in w])
+        rights = iproduct(*[[(a, j, r) for a in mids] for _, j, r in w])
         acc = {}
         # inline, not combine: the keys are pairs built here
-        for mid in iproduct(range(1, n + 1), repeat=len(w)):
-            left = tuple((l[0], a, l[2]) for l, a in zip(w, mid))
-            right = tuple((a, l[1], l[2]) for l, a in zip(w, mid))
+        for left, right in zip(lefts, rights):
             for tl, cl in nf(left).items():
                 for tr, cr in nf(right).items():
                     key = (tl, tr)
@@ -259,13 +269,14 @@ class FreeHopfAlgebra:
         Certificate, then sweep: the basis words are enumerated first (so
         words_checked and every window error are the sweep's).  If
         certify_hopf_ideal passes over this field, every axiom holds on
-        every word and the all-zero report is returned.  Otherwise, or when
-        a subclass overrides a single-word map the certificate argues from,
-        each word's residuals are computed: once over Z per (n, variant,
-        max_len, window) and shared by all fields, since a word fails an
-        axiom over GF(p) iff p does not divide the gcd g of the residual's
-        coefficients (over Q, iff g != 0).  A modular domain ignores the
-        window and reports levels None.
+        every word and the all-zero report is returned.  Otherwise, when a
+        subclass overrides a single-word map the certificate argues from,
+        or when max_len <= 1 (the sweep is then the certificate's check on
+        the letters alone), each word's residuals are computed: once over
+        Z per (n, variant, max_len, window) and shared by all fields, since
+        a word fails an axiom over GF(p) iff p does not divide the gcd g
+        of the residual's coefficients (over Q, iff g != 0).  A modular
+        domain ignores the window and reports levels None.
         """
         names = list(AXIOMS)
         if self.antipode_order_bound:
@@ -273,14 +284,16 @@ class FreeHopfAlgebra:
         if self.domain.kind == "mod":
             levels = None
         words_checked = len(self.basis_words(max_len, levels))
+        p = self.field.characteristic
         failures = {name: 0 for name in names}
         examples = {name: [] for name in names}
-        if not (self._maps_from_letters() and self.certify_hopf_ideal(0)["ok"]):
+        # up to length 1 the sweep checks only the unit and the letters,
+        # the certificate's own last check, so certifying cannot be cheaper
+        if max_len <= 1 or not self._certified(p):
             _, residues = self._integer_residuals(max_len, levels)
-            p = self.field.characteristic
             for w, gcds in residues:
                 for name, g in zip(names, gcds):
-                    if g % p if p else g:
+                    if _fails(g, p):
                         failures[name] += 1
                         if len(examples[name]) < max_examples:
                             examples[name].append(word_str(w))
@@ -302,6 +315,14 @@ class FreeHopfAlgebra:
         """Are the single-word structure maps this class's own, defined on
         letters and extended (anti-)multiplicatively?"""
         return all(getattr(cls, name) is getattr(FreeHopfAlgebra, name) for name in _LETTER_MAPS)
+
+    def _certified(self, p):
+        """Does the integer certificate pass in characteristic p?  False
+        for a class whose single-word maps are not fixed by letters."""
+        if not self._maps_from_letters():
+            return False
+        checks, _ = self._integer_certificate()
+        return not any(_fails(g, p) for residues in checks.values() for _, g in residues)
 
     def certify_hopf_ideal(self, max_examples=5):
         """Prove the Hopf axioms on every word, at every length, from a
@@ -350,7 +371,7 @@ class FreeHopfAlgebra:
         p = self.field.characteristic
         failures, examples = {}, {}
         for check, residues in checks.items():
-            bad = [label for label, g in residues if (g % p if p else g)]
+            bad = [label for label, g in residues if _fails(g, p)]
             failures[check] = len(bad)
             if bad and max_examples:
                 examples[check] = bad[:max_examples]

@@ -1,7 +1,7 @@
 """CLI behavior: outputs, exit codes, JSON mode, file inputs."""
 
-import io
 import json
+import os
 import sys
 
 from freehopf.cli import main
@@ -202,19 +202,18 @@ def test_scan_exhaustive_prints_core_dim(capsys):
     assert "found\t1" in lines
 
 
-class _ClosedPipe(io.StringIO):
-    """A stdout whose reader has gone, as with `freehopf ... | head`."""
-
-    def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
-
-
 def test_broken_pipe_keeps_the_exit_code(monkeypatch, capsys):
     for argv, code in ((["axioms", "--variant", "ord:1", "--json"], 0),
                        (["axioms", "--variant", "ord:1"], 0),
                        (["axioms", "--variant", "ord:1", "--expect", "false"], 1)):
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        # a stdout whose reader has gone, as with `freehopf ... | head`
+        r, w = os.pipe()
+        os.close(r)
+        pipe = os.fdopen(w, "w")
+        monkeypatch.setattr(sys, "stdout", pipe)
         assert main(argv) == code
         print("rest of the output")  # goes to devnull, not to the closed pipe
+        pipe.flush()
         monkeypatch.undo()
+        pipe.close()
     assert capsys.readouterr().err == ""

@@ -235,7 +235,8 @@ class NegatedAntipode(FreeHopfAlgebra):
 @pytest.mark.parametrize("variant,levels", (("free", (0, 1)), ("ord:1", None)))
 def test_negated_antipode_residuals_project_by_gcd(variant, levels):
     # the real algebra's entry is cached first; the subclass must not read it
-    assert FreeHopfAlgebra(2, variant, Field.rationals()).verify_axioms(2, levels)["ok"]
+    real = FreeHopfAlgebra(2, variant, Field.rationals())
+    assert real._integer_residuals(2, levels)[1] == []
     reports = {}
     for tok in FIELD_TOKENS:
         H = NegatedAntipode(2, variant, Field.from_token(tok))
@@ -255,6 +256,7 @@ def test_negated_antipode_residuals_project_by_gcd(variant, levels):
         if variant.startswith("ord:"):
             assert rep["failures"]["antipode_order"] == rep["words_checked"]
     # and the real algebra still reads its own, clean entry
+    assert real._integer_residuals(2, levels)[1] == []
     assert FreeHopfAlgebra(2, variant, Field.prime(3)).verify_axioms(2, levels)["ok"]
 
 
@@ -333,6 +335,18 @@ def test_certificate_fails_on_broken_rules(monkeypatch, edit, variant, levels, c
         assert report == oracle_verify_axioms(H, 2, levels)
     monkeypatch.undo()
     assert FreeHopfAlgebra(2, variant).certify_hopf_ideal()["ok"]
+
+
+def test_axioms_up_to_length_one_sweep_without_a_certificate(monkeypatch):
+    # the sweep of the unit and the letters is the certificate's own check
+    # on the letters, so no certificate is built for it
+    monkeypatch.setattr(hopf, "_CERTIFICATE_CACHE", {})
+    for variant, levels in CERT_CONFIGS:
+        for tok in FIELD_TOKENS:
+            H = FreeHopfAlgebra(3, variant, Field.from_token(tok))
+            for max_len in (0, 1):
+                assert H.verify_axioms(max_len, levels) == oracle_verify_axioms(H, max_len, levels)
+    assert hopf._CERTIFICATE_CACHE == {}
 
 
 def test_certificate_keeps_reducible_words_out_of_the_delta_cache(monkeypatch):
