@@ -11,7 +11,7 @@ confluent rewriting system; products, coproducts, counits, and antipode
 powers are computed on that basis over the rationals or a prime field.
 """
 
-from .fields import Field, FieldScalar
+from .fields import Field
 from .hopf import Element, FreeHopfAlgebra, Tensor, parse_variant
 from .linalg import Echelon, kernel
 from .parsing import ParseError, parse_element
@@ -42,7 +42,6 @@ __all__ = [
     "Echelon",
     "Element",
     "Field",
-    "FieldScalar",
     "FreeHopfAlgebra",
     "LevelDomain",
     "ParseError",

@@ -161,6 +161,7 @@ def _tensor_remainder(terms, V, W):
          for (p, q), c in terms.items() if p in rv and q in rw
          for x, ca in rv[p].items()),
         dict(terms),
+        V.algebra.field.characteristic,
     )
 
 

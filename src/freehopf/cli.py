@@ -120,27 +120,23 @@ def build_parser():
     return parser
 
 
-# Flags whose values may start with "-" (a negative level such as -1..1 or
-# -1,0).  argparse takes such a token for an option, so "--levels -1..1" is
-# rewritten to "--levels=-1..1" before parsing, and so is an abbreviation
-# such as "--lev -1..1"; argparse still resolves (or rejects as ambiguous)
-# the abbreviated name.
-_SIGNED_VALUE_FLAGS = ("--levels", "--r")
-_SIGNED_VALUE = re.compile(r"-\d")
+# A value that starts with a sign, such as the element "-x[1,1;0]", the
+# level window "-1..1" or the level sequence "-1,0", looks to argparse like
+# an unknown option.  The CLI has no single-dash option but -h, so each such
+# token is passed with a leading space, which argparse reads as a value,
+# and the space is taken off again after parsing.  Flags keep their names
+# and abbreviations ("--lev -1..1").
+_SIGNED_VALUE = re.compile(r"-\s*[\dx]")
 
 
-def _takes_signed_value(tok):
-    return len(tok) > 2 and any(f.startswith(tok) for f in _SIGNED_VALUE_FLAGS)
-
-
-def _join_signed_values(argv):
-    out = []
-    for tok in argv:
-        if out and _takes_signed_value(out[-1]) and _SIGNED_VALUE.match(tok):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
+def _parse_args(parser, argv):
+    shielded = [" " + tok if _SIGNED_VALUE.match(tok) else tok for tok in argv]
+    args = parser.parse_args(shielded)
+    added = set(shielded) - set(argv)
+    for name, value in vars(args).items():
+        if value in added:
+            setattr(args, name, value[1:])
+    return args
 
 
 def _algebra(args):
@@ -167,7 +163,10 @@ def _rvec(args):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON document in %s is nested too deeply" % path) from None
 
 
 def _verdict_payload(H, verdict, extra=None):
@@ -304,7 +303,7 @@ def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_signed_values(argv))
+    args = _parse_args(parser, argv)
     try:
         primary, payload, lines, code = _run(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -25,8 +25,9 @@ Both compute integer gcds once per (type, RuleSet), the sweep also per
 (max_len, window), and project them to each field.
 
 The maps on elements are linalg.combine over the single-word maps, with
-field coefficients in place of integers; there is one antipode path,
-antipode_int, for Z and for every field.  _delta_terms and the axiom
+the field's values in place of integers and its characteristic as the
+modulus; there is one antipode path, antipode_int, whose integer result
+each field reduces to its own values.  _delta_terms and the axiom
 residuals accumulate inline, because they build their keys (word pairs,
 triples) as they go and the residuals keep zeros for the gcd.  Element and
 Tensor share their arithmetic, equality and printing through one private
@@ -150,8 +151,9 @@ class FreeHopfAlgebra:
         nf = self.rules.normal_form_word
         scaled = ((self.field.scalar(c), raw) for raw, c in items)
         return Element(self, combine(
-            (c, nf(tuple(letter(self.n, self.domain, i, j, r) for i, j, r in raw)))
-            for c, raw in scaled if c
+            ((c, nf(tuple(letter(self.n, self.domain, i, j, r) for i, j, r in raw)))
+             for c, raw in scaled if c),
+            p=self.field.characteristic,
         ))
 
     def basis_words(self, max_len, levels=None):
@@ -219,35 +221,31 @@ class FreeHopfAlgebra:
         self._check(b)
         nf = self.rules.normal_form_word
         return Element(self, combine(
-            (ca * cb, nf(wa + wb)) for wa, ca in a.terms.items() for wb, cb in b.terms.items()
+            ((ca * cb, nf(wa + wb)) for wa, ca in a.terms.items() for wb, cb in b.terms.items()),
+            p=self.field.characteristic,
         ))
 
     def coproduct(self, a):
         self._check(a)
-        return Tensor(self, combine((c, self.delta_word(w)) for w, c in a.terms.items()))
+        return Tensor(self, combine(((c, self.delta_word(w)) for w, c in a.terms.items()),
+                                    p=self.field.characteristic))
 
     def counit(self, a):
         self._check(a)
-        out = self.field.zero
-        for w, c in a.terms.items():
-            if self.counit_word(w):
-                out = out + c
-        return out
+        return self.field.scalar(sum(c for w, c in a.terms.items() if self.counit_word(w)))
 
     def antipode(self, a, power=1):
         self._check(a)
-        return Element(self, self.antipode_int(a.terms, power))
+        terms = self.antipode_int(a.terms, power)
+        return Element(self, combine(((1, terms),), p=self.field.characteristic))
 
     def tensor(self, a, b):
         self._check(a)
         self._check(b)
-        acc = {}
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                c = ca * cb
-                if c:
-                    acc[(wa, wb)] = c
-        return Tensor(self, acc)
+        return Tensor(self, combine(
+            ((ca, {(wa, wb): cb for wb, cb in b.terms.items()}) for wa, ca in a.terms.items()),
+            p=self.field.characteristic,
+        ))
 
     def _check(self, x):
         if x.parent != self:
@@ -513,7 +511,7 @@ class _Combination:
         if not isinstance(other, type(self)):
             return NotImplemented
         self.parent._check(other)
-        return type(self)(self.parent, combine(((1, other.terms),), dict(self.terms)))
+        return self._combine(((1, other.terms),), dict(self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -521,16 +519,19 @@ class _Combination:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.parent, {k: -c for k, c in self.terms.items()})
+        return self._combine(((-1, self.terms),))
 
     def __rmul__(self, scalar):
         try:
             c = self.parent.field.scalar(scalar)
         except (TypeError, ValueError):
             return NotImplemented
-        if not c:
-            return type(self)(self.parent, {})
-        return type(self)(self.parent, {k: c * v for k, v in self.terms.items()})
+        return self._combine(((c, self.terms),))
+
+    def _combine(self, pairs, acc=None):
+        """linalg.combine over the parent's field, as a combination of this
+        type in the same parent."""
+        return type(self)(self.parent, combine(pairs, acc, self.parent.field.characteristic))
 
     def __eq__(self, other):
         return (
@@ -549,9 +550,8 @@ class _Combination:
             return "0"
         parts = []
         for key, c in self.sorted_terms():
-            v = c.value
-            neg = self.parent.field.is_rationals and v < 0
-            body = self._term_str(key, -v if neg else v)
+            neg = self.parent.field.is_rationals and c < 0
+            body = self._term_str(key, -c if neg else c)
             if not parts:
                 parts.append("-" + body if neg else body)
             else:

@@ -1,11 +1,13 @@
 """Sparse exact linear algebra over a coefficient field.
 
 Vectors are dicts mapping hashable basis keys (words, word pairs, ...) to
-nonzero coefficients.  combine is the one add-and-drop-zeros step: every
-loop in the package that adds a multiple of an existing {key: coeff} dict
-goes through it, on ints, Fractions or field scalars alike.  Loops that
-build new keys as they go (delta_word, reduce_once, the axiom residuals) or
-reduce mod p on plain ints (kernel) stay inline.
+nonzero coefficients: ints over Z, and the plain values of fields.Field
+(Fractions over Q, ints in 0..p-1 over GF(p)).  combine is the one
+add-and-drop-zeros step: every loop in the package that adds a multiple of
+an existing {key: coeff} dict goes through it, with the characteristic p of
+the data's field (0, the default, for Z and Q; otherwise sums are reduced
+mod p).  Loops that build new keys as they go (delta_word, reduce_once, the
+axiom residuals) stay inline.
 
 Two eliminations live here:
 
@@ -17,21 +19,22 @@ Two eliminations live here:
 * kernel, the only elimination on word-pair keys, runs a semi-echelon
   elimination on interned column ids: each key becomes an int in the order
   keys are first seen, a row's pivot is its largest id, and stored rows
-  are never back-substituted.  The keys need no mutual order, and the
-  arithmetic runs on the fields' plain values (ints mod p or Fractions).
+  are never back-substituted.  The keys need no mutual order.
 """
 
 
-def combine(pairs, acc=None):
+def combine(pairs, acc=None, p=0):
     """Add c * terms into acc for each (c, terms) pair, where terms is a
-    {key: coeff} dict, and drop the entries that become zero; returns acc
-    (a new dict by default)."""
+    {key: coeff} dict, reduce each sum mod p when p is nonzero, and drop
+    the entries that become zero; returns acc (a new dict by default)."""
     if acc is None:
         acc = {}
     for c, terms in pairs:
         for k, v in terms.items():
             s = acc.get(k)
             s = c * v if s is None else s + c * v
+            if p:
+                s %= p
             if s:
                 acc[k] = s
             else:
@@ -59,7 +62,8 @@ class Echelon:
         return [self.rows[p] for p in self.pivots()]
 
     def _reduce(self, vec):
-        v = {k: c for k, c in vec.items() if c}
+        p = self.field.characteristic
+        v = combine(((1, vec),), p=p)
         out = {}
         while v:
             m = max(v, key=self.key)
@@ -67,7 +71,7 @@ class Echelon:
             if row is None:
                 out[m] = v.pop(m)
             else:
-                combine(((-v[m], row),), v)  # the pivot cancels itself
+                combine(((-v[m], row),), v, p)  # the pivot cancels itself
         return out
 
     def reduce(self, vec):
@@ -88,12 +92,12 @@ class Echelon:
         if not rem:
             return False
         m = max(rem, key=self.key)
-        inv = self.field.one / rem[m]
-        row = {k: c * inv for k, c in rem.items()}
+        p = self.field.characteristic
+        row = combine(((self.field.inv(rem[m]), rem),), p=p)
         for prow in self.rows.values():
             c = prow.get(m)
             if c is not None:
-                combine(((-c, row),), prow)
+                combine(((-c, row),), prow, p)
         self.rows[m] = row
         return True
 
@@ -102,8 +106,8 @@ def kernel(field, pairs):
     """Kernel of the linear map tag -> vector, described by (tag, vector)
     pairs with distinct tags; returns one combination dict {tag: coeff} per
     kernel dimension, in the order of the tags that close them.  Vector
-    coefficients may be scalars of the field or anything field.scalar
-    coerces (such as ints), and may be zero.
+    coefficients are ints or values of the field, and may be zero; the
+    returned coefficients are values of the field.
 
     The relation closed by tag t is {t: 1} minus the unique expression of
     its vector over the earlier tags that raised the rank, so it does not
@@ -118,33 +122,26 @@ def kernel(field, pairs):
     for tag, vec in pairs:
         v = {}
         for key, c in vec.items():
-            c = field.scalar(c).value
+            if p:
+                c %= p
             if c:
                 i = ids.get(key)
                 if i is None:
                     i = ids[key] = len(ids)
                 v[i] = c
-        comb = {tag: 1}
+        comb = {tag: field.one}
         while v:
             m = max(v)
             row = rows.get(m)
             if row is None:
                 break
-            c = v.pop(m)
-            # inline, not combine: plain values reduced mod p
-            for acc, src in ((v, row), (comb, combs[m])):
-                for k, c2 in src.items():
-                    s = acc.get(k, 0) - c * c2
-                    if p:
-                        s %= p
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
+            c = -v.pop(m)
+            combine(((c, row),), v, p)
+            combine(((c, combs[m]),), comb, p)
         if not v:
-            out.append({t: field.scalar(c) for t, c in comb.items()})
+            out.append(comb)
             continue
-        inv = pow(v.pop(m), p - 2, p) if p else 1 / v.pop(m)
-        rows[m] = {k: x * inv % p if p else x * inv for k, x in v.items()}
-        combs[m] = {t: x * inv % p if p else x * inv for t, x in comb.items()}
+        inv = field.inv(v.pop(m))
+        rows[m] = combine(((inv, v),), p=p)
+        combs[m] = combine(((inv, comb),), p=p)
     return out

@@ -112,13 +112,14 @@ def oracle_rank_p(rows, p):
     return rank
 
 
-def _sub_scaled(acc, c, src, skip=None):
-    """acc -= c * src in place, dropping zeros and the key skip."""
+def _sub_scaled(field, acc, c, src, skip=None):
+    """acc -= c * src in place over the field, dropping zeros and the key
+    skip."""
     for k, c2 in src.items():
         if k == skip:
             continue
         s = acc.get(k)
-        s = -(c * c2) if s is None else s - c * c2
+        s = field.scalar(-(c * c2) if s is None else s - c * c2)
         if s:
             acc[k] = s
         else:
@@ -143,20 +144,20 @@ def oracle_kernel(field, pairs, key=None):
             if m not in rows:
                 rem[m] = c
                 continue
-            _sub_scaled(v, c, rows[m], skip=m)
-            _sub_scaled(comb, c, combs[m])
+            _sub_scaled(field, v, c, rows[m], skip=m)
+            _sub_scaled(field, comb, c, combs[m])
         if not rem:
             out.append(comb)
             continue
         m = max(rem, key=key)
-        inv = field.one / rem[m]
-        row = {k: c * inv for k, c in rem.items()}
-        comb = {t: c * inv for t, c in comb.items()}
+        inv = field.inv(rem[m])
+        row = {k: field.scalar(c * inv) for k, c in rem.items()}
+        comb = {t: field.scalar(c * inv) for t, c in comb.items()}
         for q, qrow in rows.items():
             c = qrow.get(m)
             if c is not None:
-                _sub_scaled(qrow, c, row)
-                _sub_scaled(combs[q], c, comb)
+                _sub_scaled(field, qrow, c, row)
+                _sub_scaled(field, combs[q], c, comb)
         rows[m], combs[m] = row, comb
     return out
 

@@ -2,7 +2,10 @@
 
 import json
 import os
+import random
 import sys
+
+import pytest
 
 from freehopf.cli import main
 
@@ -217,3 +220,89 @@ def test_broken_pipe_keeps_the_exit_code(monkeypatch, capsys):
         monkeypatch.undo()
         pipe.close()
     assert capsys.readouterr().err == ""
+
+
+def test_element_text_may_start_with_a_sign(capsys):
+    # argparse would take "-x[1,1;0]" for an unknown option
+    code, out, err = run(capsys, "counit", "-x[1,1;0]")
+    assert (code, out.strip()) == (0, "-1"), err
+    code, out, err = run(capsys, "mul", "-2*x[1,1;0]", "x[1,2;0]")
+    assert (code, out.strip()) == (0, "-2*x[1,1;0]*x[1,2;0]"), err
+    assert run(capsys, "counit", "--", "-x[1,1;0]")[:2] == (0, "-1\n")
+    code, out, _ = run(capsys, "antipode", "-x[1,2;0]", "--power", "-1",
+                       "--variant", "bij", "--field", "f3")
+    assert (code, out.strip()) == (0, "2*x[2,1;-1]")
+    # parse errors keep their offsets into the text as given
+    code, _, err = run(capsys, "counit", "-x[1,1;")
+    assert code == 2 and "(at position 7)" in err
+    # -h is still the help flag
+    with pytest.raises(SystemExit) as info:
+        main(["counit", "-h"])
+    assert info.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+_FUZZ_ELEMENTS = ("x[1,1;0]", "-2*x[1,2;0]*x[2,1;1] + 1/2", "3/4 - x[2,2;0]",
+                  "1/5*x[1,1;0]", "1", "x[1,2;0]*x[2,2;1] - 7")
+_FUZZ_CHARS = "x[],;*/+-0123456789 .e"
+_FUZZ_COEFFS = ("1", "-3/2", "1/5", "1/0", "2//3", "abc", "", " 7 ", "1e3",
+                1.5, float("inf"), float("nan"), 10 ** 400, True, None, [], -4)
+
+
+def _mutate(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(chars))
+        op = rng.randrange(3) if chars else 0
+        if op == 0:
+            chars.insert(pos, rng.choice(_FUZZ_CHARS))
+        elif op == 1:
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars[min(pos, len(chars) - 1)] = rng.choice(_FUZZ_CHARS)
+    return "".join(chars)
+
+
+def _fuzz_terms(rng):
+    terms = []
+    for _ in range(rng.randint(0, 2)):
+        term = {"c": rng.choice(_FUZZ_COEFFS),
+                "w": [[rng.randint(0, 3), rng.randint(1, 2), rng.randint(-1, 2)]
+                      for _ in range(rng.randint(0, 2))]}
+        if rng.random() < 0.2:
+            del term[rng.choice(("c", "w"))]
+        terms.append(term)
+    return terms
+
+
+def test_cli_fuzz_never_raises(tmp_path, capsys):
+    """Mutated element strings and JSON term documents in every field:
+    each run exits 0, 1 or 2 with no traceback.  argparse reports a usage
+    error by SystemExit(2), the exit code a shell sees."""
+    rng = random.Random(12)
+    span, images = tmp_path / "span.json", tmp_path / "images.json"
+    deep = tmp_path / "deep.json"  # deeper than the JSON decoder's recursion limit
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for tok in ("q", "f2", "f3", "f5"):
+        runs = []
+        for _ in range(12):
+            text = _mutate(rng, rng.choice(_FUZZ_ELEMENTS))
+            cmd = rng.choice((["counit"], ["delta"], ["antipode"], ["mul", "x[1,1;0]"]))
+            runs.append(cmd + [text])
+        for _ in range(5):
+            span.write_text(json.dumps({"elements": [_fuzz_terms(rng) for _ in range(2)]}))
+            images.write_text(json.dumps(
+                {"images": [[_fuzz_terms(rng) for _ in range(2)] for _ in range(2)]}))
+            runs += [["subcoalgebra", "--span", str(span)],
+                     ["grouplikes", "--span", str(span)],
+                     ["comap", "--images", str(images)]]
+        runs.append(["subcoalgebra", "--span", str(deep)])
+        for argv in runs:
+            try:
+                code = main(argv + ["--field", tok, "--variant", "ord:1"])
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, err)
+            assert "Traceback" not in err, (argv, err)
+            if code == 2:
+                assert err.startswith(("error: ", "usage: ")), (argv, err)

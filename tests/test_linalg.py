@@ -28,9 +28,7 @@ def _random_sparse(rng, field, ncols, density=0.5):
 
 
 def _dense(vec, ncols, field):
-    if field.is_rationals:
-        return [vec[c].value if c in vec else Fraction(0) for c in range(ncols)]
-    return [vec[c].value if c in vec else 0 for c in range(ncols)]
+    return [vec.get(c, field.zero) for c in range(ncols)]
 
 
 def test_combine_adds_multiples_and_drops_zeros():
@@ -64,15 +62,14 @@ def test_combine_matches_dense_sums_in_each_field():
                 pairs.append((c, _random_sparse(rng, field, ncols)))
             want = start
             for c, vec in pairs:
-                cv = c.value if hasattr(c, "value") else c
-                want = [x + cv * y for x, y in zip(want, _dense(vec, ncols, field))]
+                want = [x + c * y for x, y in zip(want, _dense(vec, ncols, field))]
                 if field.characteristic:
                     want = [x % field.characteristic for x in want]
-            out = combine(pairs, acc)
+            out = combine(pairs, acc, field.characteristic)
             if acc is not None:
                 assert out is acc
             assert all(out.values())
-            assert all(isinstance(v, type(field.one)) and v.field is field for v in out.values())
+            assert all(isinstance(v, type(field.one)) for v in out.values())
             assert _dense(out, ncols, field) == want
 
 
@@ -106,7 +103,7 @@ def test_membership_and_canonical_remainder():
     combo = {}
     for v in vecs[:2]:
         for k, c in v.items():
-            s = combo.get(k, F.zero) + c
+            s = F.scalar(combo.get(k, F.zero) + c)
             if s:
                 combo[k] = s
             else:
@@ -160,7 +157,7 @@ def test_kernel_relations_are_real():
             acc = {}
             for tag, c in comb.items():
                 for k, v in vecs[tag].items():
-                    s = acc.get(k, field.zero) + c * v
+                    s = field.scalar(acc.get(k, field.zero) + c * v)
                     if s:
                         acc[k] = s
                     else:
@@ -172,7 +169,7 @@ def _combine(field, coeffs, vecs):
     acc = {}
     for c, vec in zip(coeffs, vecs):
         for k, v in vec.items():
-            s = acc.get(k, field.zero) + c * v
+            s = field.scalar(acc.get(k, field.zero) + c * v)
             if s:
                 acc[k] = s
             else:
@@ -200,7 +197,7 @@ def _plant(rng, field, pairs, count):
 
 
 def _rank(field, pairs, keys):
-    rows = [[v.get(k, field.zero).value for k in keys] for _, v in pairs]
+    rows = [[v.get(k, field.zero) for k in keys] for _, v in pairs]
     if field.is_rationals:
         return oracle_rank_q(rows)
     return oracle_rank_p(rows, field.characteristic)
@@ -243,7 +240,7 @@ def test_kernel_columns_need_no_order():
     # str and tuple keys cannot be compared with each other; zero vectors
     # and a repeated vector each close a relation
     F = Field.prime(3)
-    one, two = F.one, F.scalar(2)
+    one, two, minus_one = F.one, F.scalar(2), F.scalar(-1)
     pairs = [
         ("a", {"x": one, (1, 2): two}),
         ("zero", {}),
@@ -256,8 +253,8 @@ def test_kernel_columns_need_no_order():
     combos = kernel(F, pairs)
     assert combos == [
         {"zero": one},
-        {"a again": one, "a": -one},
-        {"c": one, "a": -one, "b": two},
+        {"a again": one, "a": minus_one},
+        {"c": one, "a": minus_one, "b": two},
         {"zeros": one},
     ]
     keys = ["x", (1, 2), "y", (3,), "z"]

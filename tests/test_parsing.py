@@ -25,8 +25,8 @@ def test_basic_forms():
     assert parse_element("3*x[1,2;0]", HQ) == 3 * HQ.gen(1, 2, 0)
     assert parse_element("-x[1,2;0]", HQ) == -HQ.gen(1, 2, 0)
     assert parse_element("2", HQ) == 2 * HQ.one()
-    assert parse_element("1/2*x[1,1;0]", HQ).coefficient(((1, 1, 0),)).value \
-        == HQ.field.scalar("1/2").value
+    assert parse_element("1/2*x[1,1;0]", HQ).coefficient(((1, 1, 0),)) \
+        == HQ.field.scalar("1/2")
     assert parse_element("x[1,2;0]*x[2,1;1]", HQ) == \
         HQ.gen(1, 2, 0) * HQ.gen(2, 1, 1)
     assert parse_element(" 1 -  x[1,1;0] ", HQ) == HQ.one() - HQ.gen(1, 1, 0)
