@@ -153,10 +153,6 @@ def _levels(args, default):
     return (int(lo), int(hi))
 
 
-def _window(H, args, default):
-    return _levels(args, default) if H.domain.kind != "mod" else None
-
-
 def _rvec(args):
     return tuple(int(t) for t in args.r.split(","))
 
@@ -217,13 +213,13 @@ def _run(args):
         payload["power"] = args.power
         return str(r), payload, [str(r)], 0
     if cmd == "axioms":
-        report = H.verify_axioms(args.maxlen, _window(H, args, (0, 2)))
+        report = H.verify_axioms(args.maxlen, _levels(args, (0, 2)))
         lines = ["%s\t%d" % (k, v) for k, v in report["failures"].items()]
         lines.append("axioms: %s" % ("OK" if report["ok"] else "FAIL"))
         primary = "true" if report["ok"] else "false"
         return primary, report, lines, 0 if report["ok"] else 1
     if cmd == "confluence":
-        report = check_confluence(H.n, H.domain, _window(H, args, (0, 6)))
+        report = check_confluence(H.n, H.domain, _levels(args, (0, 6)))
         payload = report.describe()
         lines = [
             "ambiguities\t%d" % report.total,
@@ -261,7 +257,7 @@ def _run(args):
         ]
         return primary, payload, lines, 0
     if cmd == "primitives":
-        els = find_primitives(H, args.maxlen, _window(H, args, (0, 2)))
+        els = find_primitives(H, args.maxlen, _levels(args, (0, 2)))
         payload = {
             "config": H.describe(),
             "count": len(els),

@@ -43,6 +43,8 @@ from .linalg import combine
 from .rewrite import RULE_NAMES, check_confluence, rules_for
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
+# Coproducts of irreducible words per (algebra type, RuleSet), since a
+# subclass may override _delta_terms.
 _DELTA_CACHES = {}
 
 # Integer axiom residuals per (algebra type, RuleSet, max_len, window); each
@@ -165,8 +167,8 @@ class FreeHopfAlgebra:
 
     def delta_word(self, w):
         """Coproduct of an irreducible word as {(left, right): int}, with
-        both legs reduced; cached per (n, domain)."""
-        cache = _DELTA_CACHES.setdefault(self.rules, {})
+        both legs reduced; cached per (algebra type, n, domain)."""
+        cache = _DELTA_CACHES.setdefault((type(self), self.rules), {})
         hit = cache.get(w)
         if hit is None:
             hit = cache[w] = self._delta_terms(w)

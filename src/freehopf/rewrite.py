@@ -24,7 +24,7 @@ terminate; check_confluence certifies local confluence by resolving every
 concrete overlap and inclusion ambiguity inside a level window.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import permutations, product
 
 from .linalg import combine
@@ -324,17 +324,10 @@ class ConfluenceReport:
     n: int
     dom: LevelDomain
     levels: tuple | None
-    records: list = dataclass_field(default_factory=list)
-    checked: int = 0  # ambiguities whose normal forms were computed
-    symmetries: int = 1  # order of the verified symmetry group used
-
-    @property
-    def total(self):
-        return len(self.records)
-
-    @property
-    def unresolved(self):
-        return [r for r in self.records if not r.resolved]
+    total: int  # ambiguities found
+    unresolved: list  # an AmbiguityRecord per unresolved one, in report order
+    checked: int  # ambiguities whose normal forms were computed
+    symmetries: int  # order of the verified symmetry group used
 
     @property
     def ok(self):
@@ -367,19 +360,20 @@ def check_confluence(n, dom, levels=None):
     Ambiguities are looked up in an index of the rule instances by whole
     left-hand side (inclusions) and by proper prefix (overlaps).  Normal
     forms are computed for one ambiguity per orbit of a group of letter
-    maps and carried to the rest of the orbit through each map's letter
-    table.  The candidate maps are the permutations of the indices 1..n-2,
+    maps; the rest of the orbit is only marked as covered.  The report
+    counts every ambiguity and keeps a record of each unresolved one.  The
+    candidate maps are the permutations of the indices 1..n-2,
     the flip x[i,j;r] -> x[j,i;c-r] (c = lo+hi on a window, 0 mod m; it
     swaps R1 with R2 and R3 with R4 and keeps match positions), the mod
     level rotations r -> r+1, and their products; only those that map the
     rule instances onto themselves and commute with reduce_once on every
     instance are kept, and they form a subgroup.  Such a map carries a
     resolution of one ambiguity to a resolution of its image, so if every
-    representative resolves, the rules are confluent on the window by
-    Bergman's diamond lemma, normal forms are unique, and every mapped
-    record equals the one a direct computation gives.  If some
+    representative resolves, so does every ambiguity, and the rules are
+    confluent on the window by Bergman's diamond lemma.  If some
     representative is unresolved, the check is repeated with the trivial
-    group, so the report lists every ambiguity as a full check does.
+    group, so the report lists every unresolved ambiguity as a full check
+    does.
 
     Normal forms are cached on a private RuleSet that is dropped with the
     check; the shared rules_for cache is left as it was.
@@ -396,11 +390,11 @@ def check_confluence(n, dom, levels=None):
     inst = rs.rule_instances(levels)
     ambiguities = _ambiguities(inst)
     group = _verified_symmetries(rs, inst, levels)
-    records, checked = _resolve(rs, ambiguities, group)
-    if len(group) > 1 and not all(r.resolved for r in records):
+    unresolved, checked = _resolve(rs, ambiguities, group)
+    if len(group) > 1 and unresolved:
         group = group[:1]  # the identity
-        records, checked = _resolve(rs, ambiguities, group)
-    return ConfluenceReport(n, dom, levels, records, checked, len(group))
+        unresolved, checked = _resolve(rs, ambiguities, group)
+    return ConfluenceReport(n, dom, levels, len(ambiguities), unresolved, checked, len(group))
 
 
 def _ambiguities(inst):
@@ -428,7 +422,7 @@ def _ambiguities(inst):
             if s:
                 hits += [(rb, wa + wb[la - s:]) for rb, wb in by_prefix.get(wa[s:], ())]
             for rb, word in hits:
-                key = (word,) + tuple(sorted(((ra, 0), (rb, s))))
+                key = _key(word, (ra, 0), (rb, s))
                 if key not in seen:
                     seen.add(key)
                     out.append((word, (ra, 0), (rb, s)))
@@ -480,29 +474,26 @@ def _verified_symmetries(rs, inst, levels):
     ]
 
 
+def _key(word, ma, mb):
+    """One key per ambiguity, whichever of its matches comes first."""
+    return (word,) + tuple(sorted((ma, mb)))
+
+
 def _resolve(rs, ambiguities, group):
-    """Records of all ambiguities, with normal forms computed for the first
-    ambiguity of each orbit of the group (identity first) and mapped to the
-    others; also returns the number computed."""
-    index = {a: k for k, a in enumerate(ambiguities)}
-    records = [None] * len(ambiguities)
+    """Records of the ambiguities that do not resolve, and the number whose
+    normal forms were computed: the first ambiguity of each orbit of the
+    group, whose images under the group are then marked as covered."""
+    covered = set()
+    unresolved = []
     checked = 0
-    for k, (word, ma, mb) in enumerate(ambiguities):
-        if records[k] is not None:
+    for word, ma, mb in ambiguities:
+        if _key(word, ma, mb) in covered:
             continue
+        checked += 1
         nf_a = rs.normal_form_int(rs.reduce_once(word, *ma))
         nf_b = rs.normal_form_int(rs.reduce_once(word, *mb))
-        checked += 1
-        records[k] = AmbiguityRecord(word, ma, mb, nf_a == nf_b, nf_a, nf_b)
-        for table, rules in group[1:]:
-            gw = _image(table, word)
-            ga, gb = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])
-            j = index.get((gw, ga, gb))
-            x, y = nf_a, nf_b
-            if j is None:
-                j = index[(gw, gb, ga)]
-                x, y = nf_b, nf_a
-            if records[j] is None:
-                x, y = _image_terms(table, x), _image_terms(table, y)
-                records[j] = AmbiguityRecord(gw, ambiguities[j][1], ambiguities[j][2], x == y, x, y)
-    return records, checked
+        if nf_a != nf_b:
+            unresolved.append(AmbiguityRecord(word, ma, mb, False, nf_a, nf_b))
+        for table, rules in group:
+            covered.add(_key(_image(table, word), (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])))
+    return unresolved, checked

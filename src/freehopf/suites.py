@@ -45,15 +45,9 @@ def _report(name, config, cases):
     }
 
 
-def _window(H, levels, default):
-    if H.domain.kind == "mod":
-        return None
-    return levels if levels is not None else default
-
-
-def suite_axioms(n=2, variant="free", field="q", maxlen=2, levels=None):
+def suite_axioms(n=2, variant="free", field="q", maxlen=2, levels=(0, 2)):
     H = FreeHopfAlgebra(n, variant, Field.from_token(field))
-    report = H.verify_axioms(maxlen, _window(H, levels, (0, 2)))
+    report = H.verify_axioms(maxlen, levels)
     cases = [
         _case("residual_%s" % axiom, 0, count)
         for axiom, count in report["failures"].items()
@@ -61,9 +55,9 @@ def suite_axioms(n=2, variant="free", field="q", maxlen=2, levels=None):
     return _report("axioms", report["config"], cases)
 
 
-def suite_confluence(n=2, variant="free", field="q", maxlen=None, levels=None):
+def suite_confluence(n=2, variant="free", field="q", maxlen=None, levels=(0, 6)):
     H = FreeHopfAlgebra(n, variant, Field.from_token(field))
-    report = check_confluence(H.n, H.domain, _window(H, levels, (0, 6)))
+    report = check_confluence(H.n, H.domain, levels)
     cases = [
         _case("ambiguities_found_nonzero", True, report.total > 0),
         _case("unresolved", 0, len(report.unresolved)),
@@ -162,8 +156,7 @@ def suite_primitives(**_ignored):
     for variant in ("free", "ord:1"):
         for field in ("q", "f2", "f3"):
             H = FreeHopfAlgebra(2, variant, Field.from_token(field))
-            window = (0, 2) if H.domain.kind != "mod" else None
-            els = find_primitives(H, 3, window)
+            els = find_primitives(H, 3, (0, 2))
             cases.append(_case("primitives_%s_%s" % (variant, field), 0, len(els)))
     return _report("primitives", {"n": 2, "maxlen": 3}, cases)
 

@@ -378,7 +378,7 @@ def oracle_check_confluence(n, dom, levels=None):
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(levels)
     seen = set()
-    records = []
+    unresolved = []
     for (ra, wa), (rb, wb) in iproduct(inst, inst):
         la, lb = len(wa), len(wb)
         for s in range(la):
@@ -398,6 +398,7 @@ def oracle_check_confluence(n, dom, levels=None):
             seen.add(key)
             nf_a = rs.normal_form_int(rs.reduce_once(word, ra, 0))
             nf_b = rs.normal_form_int(rs.reduce_once(word, rb, s))
-            records.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a == nf_b, nf_a, nf_b))
-    records.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
-    return ConfluenceReport(n, dom, levels, records, checked=len(records), symmetries=1)
+            if nf_a != nf_b:
+                unresolved.append(AmbiguityRecord(word, (ra, 0), (rb, s), False, nf_a, nf_b))
+    unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
+    return ConfluenceReport(n, dom, levels, len(seen), unresolved, len(seen), 1)

@@ -354,8 +354,25 @@ def test_certificate_keeps_reducible_words_out_of_the_delta_cache(monkeypatch):
     for variant in ("free", "ord:2"):
         H = FreeHopfAlgebra(2, variant)
         assert H.certify_hopf_ideal()["ok"]
-        cached = hopf._DELTA_CACHES[H.rules]
+        cached = hopf._DELTA_CACHES[(FreeHopfAlgebra, H.rules)]
         assert cached and all(H.rules.is_irreducible(w) for w in cached)
+
+
+class DoubledCoproduct(FreeHopfAlgebra):
+    """Delta replaced by 2*Delta on every word: the counit axioms fail."""
+
+    def _delta_terms(self, w):
+        return {t: 2 * c for t, c in super()._delta_terms(w).items()}
+
+
+def test_overridden_coproduct_stays_out_of_the_real_delta_cache(monkeypatch):
+    monkeypatch.setattr(hopf, "_DELTA_CACHES", {})
+    doubled = DoubledCoproduct(2, "ord:1")
+    assert not doubled.verify_axioms(2)["ok"]
+    real = FreeHopfAlgebra(2, "ord:1")
+    x = real.gen(1, 1, 0)
+    assert x.coproduct() == real.tensor(x, x) + real.tensor(real.gen(1, 2, 0), real.gen(2, 1, 0))
+    assert real.verify_axioms(2)["ok"]
 
 
 def test_certificate_refuses_overridden_maps():

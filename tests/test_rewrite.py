@@ -250,21 +250,26 @@ def test_confluence_mod_report_ignores_window():
     report = check_confluence(2, MOD2, (0, 2))
     assert report.levels is None
     assert report.describe()["config"]["levels"] is None
-    assert report.records == check_confluence(2, MOD2).records
+    assert report == check_confluence(2, MOD2)
 
 
 def _fields(report):
-    return [(r.word, r.match_a, r.match_b, r.resolved, r.nf_a, r.nf_b) for r in report.records]
+    """The total and the unresolved records, in report order."""
+    return report.total, [(r.word, r.match_a, r.match_b, r.resolved, r.nf_a, r.nf_b)
+                          for r in report.unresolved]
 
 
-# Ambiguity totals of the full check, and the order of the symmetry group
-# it verifies (index permutations x flip x mod rotations).
+# Ambiguity totals of the full check, the order of the symmetry group it
+# verifies (index permutations x flip x mod rotations), and the number of
+# orbit representatives whose normal forms are computed.
 CONFLUENCE_PINNED = {
-    (2, NAT, (0, 6)): (576, 2), (2, INT, (-2, 3)): (456, 2),
-    (2, MOD2, None): (276, 4), (2, MOD4, None): (480, 8), (2, MOD6, None): (720, 12),
-    (3, NAT, (0, 6)): (2376, 2), (3, INT, (-2, 3)): (1872, 2),
-    (3, MOD2, None): (1072, 4), (3, MOD4, None): (2016, 8), (3, MOD6, None): (3024, 12),
-    (4, MOD2, None): (2980, 8),
+    (2, NAT, (0, 6)): (576, 2, 288), (2, INT, (-2, 3)): (456, 2, 228),
+    (2, MOD2, None): (276, 4, 70), (2, MOD4, None): (480, 8, 60),
+    (2, MOD6, None): (720, 12, 60),
+    (3, NAT, (0, 6)): (2376, 2, 1188), (3, INT, (-2, 3)): (1872, 2, 936),
+    (3, MOD2, None): (1072, 4, 269), (3, MOD4, None): (2016, 8, 252),
+    (3, MOD6, None): (3024, 12, 252),
+    (4, MOD2, None): (2980, 8, 408),
 }
 
 
@@ -273,10 +278,10 @@ def test_confluence_matches_full_check_oracle(n, dom, window):
     report = check_confluence(n, dom, window)
     oracle = oracle_check_confluence(n, dom, window)
     assert _fields(report) == _fields(oracle)
-    total, order = CONFLUENCE_PINNED[(n, dom, window)]
+    total, order, checked = CONFLUENCE_PINNED[(n, dom, window)]
     assert report.total == total and report.ok
     assert report.symmetries == order
-    assert 0 < report.checked < total
+    assert report.checked == checked
     assert report.describe()["work"] == {"checked": report.checked, "symmetries": order}
 
 
@@ -300,8 +305,8 @@ def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, windo
     # commutes with the broken rules, but the representatives no longer
     # resolve, so the check must rerun with the trivial group.  Mod 2 has
     # words where R1 and R2 match at one position; the flip swaps them, and
-    # the leftmost strategy does not, so on the broken rules some mapped
-    # normal forms differ from those a direct computation gives.
+    # the leftmost strategy does not, so on the broken rules the normal
+    # forms of an orbit are not the images of its representative's.
     patch_reduce_once(monkeypatch, drop_delta)
     rs = RuleSet(2, dom)
     order = CONFLUENCE_PINNED[(2, dom, window)][1]
@@ -328,12 +333,13 @@ def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
     _assert_same_report(report, oracle)
 
 
-def test_confluence_report_shape():
+def test_confluence_report_shape(monkeypatch):
     report = check_confluence(2, MOD2)
     doc = report.describe()
     assert set(doc) >= {"config", "total_ambiguities", "unresolved"}
     assert doc["total_ambiguities"] == report.total
     assert doc["unresolved"] == []
-    rec = report.records[0]
+    patch_reduce_once(monkeypatch, drop_delta)
+    rec = check_confluence(2, MOD2).unresolved[0]
     d = rec.describe()
     assert set(d) >= {"word", "match_a", "match_b", "resolved"}
