@@ -285,47 +285,32 @@ def gaussian_binomial(m, k, q):
     return num // den
 
 
+def _rref_pools(p, m, k):
+    """For each k-tuple of pivot columns of a k x m reduced row-echelon basis
+    over GF(p), in lexicographic order, yield (pivots, pools): pools[i]
+    lists every possible row i as a tuple (1 at its pivot, 0 at the other
+    pivots and left of its own), its free entries in lexicographic order."""
+    for pivots in combinations(range(m), k):
+        pools = []
+        for piv in pivots:
+            free = [c for c in range(piv + 1, m) if c not in pivots]
+            pool = []
+            for vals in iproduct(range(p), repeat=len(free)):
+                row = [0] * m
+                row[piv] = 1
+                for c, v in zip(free, vals):
+                    row[c] = v
+                pool.append(tuple(row))
+            pools.append(pool)
+        yield pivots, pools
+
+
 def enumerate_rref(p, m, k):
     """Yield every k x m reduced row-echelon basis over GF(p) as a list of
     row tuples; pivots are leftmost, rows ordered by pivot."""
-    cols = range(m)
-    for pivots in combinations(cols, k):
-        pivset = set(pivots)
-        free = [[c for c in cols if c > pivots[i] and c not in pivset]
-                for i in range(k)]
-        pools = [list(iproduct(range(p), repeat=len(f))) for f in free]
-        for choice in iproduct(*pools):
-            rows = []
-            for i in range(k):
-                row = [0] * m
-                row[pivots[i]] = 1
-                for c, v in zip(free[i], choice[i]):
-                    row[c] = v
-                rows.append(tuple(row))
-            yield rows
-
-
-def _enumerate_rref_masks(m, k):
-    """GF(2) variant of enumerate_rref yielding rows as bitmasks
-    (bit c = coordinate c) together with their set-bit lists."""
-    cols = range(m)
-    for pivots in combinations(cols, k):
-        pivset = set(pivots)
-        free = [[c for c in cols if c > pivots[i] and c not in pivset]
-                for i in range(k)]
-        pools = []
-        for i in range(k):
-            base = 1 << pivots[i]
-            vals = []
-            for sub in iproduct((0, 1), repeat=len(free[i])):
-                mask = base
-                for c, v in zip(free[i], sub):
-                    if v:
-                        mask |= 1 << c
-                bits = tuple(t for t in range(m) if (mask >> t) & 1)
-                vals.append((mask, bits))
-            pools.append(vals)
-        yield pivots, pools
+    for _, pools in _rref_pools(p, m, k):
+        for rows in iproduct(*pools):
+            yield list(rows)
 
 
 # -- the scan -------------------------------------------------------------------
@@ -463,9 +448,13 @@ def _scan_gf2(C, k):
                     drows[t][a] |= 1 << b
                     dcols[t][b] |= 1 << a
 
+    def mask(row):
+        bits = tuple(t for t, v in enumerate(row) if v)
+        return sum(1 << t for t in bits), bits
+
     found = []
-    for pivs, pools in _enumerate_rref_masks(m, k):
-        plist = list(pivs)
+    for pivots, pools in _rref_pools(2, m, k):
+        pools = [[mask(row) for row in pool] for pool in pools]
         for chosen in iproduct(*pools):
             rows = tuple(c[0] for c in chosen)
             ok = True
@@ -476,7 +465,7 @@ def _scan_gf2(C, k):
                     for t in bits:
                         x ^= drows[t][a]
                         y ^= dcols[t][a]
-                    for pi, ri in zip(plist, rows):
+                    for pi, ri in zip(pivots, rows):
                         if (x >> pi) & 1:
                             x ^= ri
                         if (y >> pi) & 1:

@@ -14,15 +14,17 @@ Structure maps on a letter x[i,j;r]:
   counit       eps(x[i,j;r]) = d(i,j)
   antipode     S(x[i,j;r]) = x[j,i;r+1], extended as an anti-homomorphism
 
-Single-word coproducts and normal forms have integer coefficients, so they
-are cached per (n, domain) and shared across coefficient fields.
+The single-word maps are fixed by these values on letters and are not an
+extension point.  Their values and the normal forms have integer
+coefficients, so they are cached per RuleSet (one per n and domain) and
+shared across coefficient fields.
 
 verify_axioms proves the Hopf axioms at every length from
 certify_hopf_ideal, a finite certificate that the rules generate a Hopf
 ideal, and sweeps the basis words only when the certificate fails or
 max_len <= 1 (then the words are the letters, which it checks anyway).
-Both compute integer gcds once per (type, RuleSet), the sweep also per
-(max_len, window), and project them to each field.
+The certificate's integer gcds are computed once per RuleSet and the
+sweep's on each call; both are projected to each field.
 
 The maps on elements are linalg.combine over the single-word maps, with
 the field's values in place of integers and its characteristic as the
@@ -43,22 +45,12 @@ from .linalg import combine
 from .rewrite import RULE_NAMES, check_confluence, rules_for
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
-# Coproducts of irreducible words per (algebra type, RuleSet), since a
-# subclass may override _delta_terms.
+# Coproducts of irreducible words per RuleSet.
 _DELTA_CACHES = {}
 
-# Integer axiom residuals per (algebra type, RuleSet, max_len, window); each
-# entry holds a word count and the words with a nonzero residual gcd.
-_RESIDUAL_CACHE = {}
-
-# Integer Hopf-ideal certificates per (algebra type, RuleSet); each entry
-# holds, per check, the (label, gcd) of every item with a nonzero gcd, and
-# the work done.
+# Integer Hopf-ideal certificates per RuleSet; each entry holds, per check,
+# the (label, gcd) of every item with a nonzero gcd, and the work done.
 _CERTIFICATE_CACHE = {}
-
-# The single-word maps the certificate argues from: a subclass that
-# overrides one of them keeps the per-word sweep.
-_LETTER_MAPS = ("delta_word", "_delta_terms", "counit_word", "antipode_raw_word", "antipode_int")
 
 
 def _fails(g, p):
@@ -92,7 +84,13 @@ def parse_variant(token):
 
 
 class FreeHopfAlgebra:
-    """The free Hopf algebra on an n x n matrix coalgebra over a field."""
+    """The free Hopf algebra on an n x n matrix coalgebra over a field.
+
+    The single-word structure maps (delta_word, counit_word, the antipode)
+    are fixed by their values on the letters and are not an extension
+    point: the coproduct and certificate caches are keyed by RuleSet alone
+    and hold for every algebra on that RuleSet.
+    """
 
     def __init__(self, n, variant="free", field=None):
         if field is None:
@@ -167,8 +165,8 @@ class FreeHopfAlgebra:
 
     def delta_word(self, w):
         """Coproduct of an irreducible word as {(left, right): int}, with
-        both legs reduced; cached per (algebra type, n, domain)."""
-        cache = _DELTA_CACHES.setdefault((type(self), self.rules), {})
+        both legs reduced; cached per RuleSet."""
+        cache = _DELTA_CACHES.setdefault(self.rules, {})
         hit = cache.get(w)
         if hit is None:
             hit = cache[w] = self._delta_terms(w)
@@ -269,29 +267,26 @@ class FreeHopfAlgebra:
         Certificate, then sweep: the basis words are enumerated first (so
         words_checked and every window error are the sweep's).  If
         certify_hopf_ideal passes over this field, every axiom holds on
-        every word and the all-zero report is returned.  Otherwise, when a
-        subclass overrides a single-word map the certificate argues from,
-        or when max_len <= 1 (the sweep is then the certificate's check on
-        the letters alone), each word's residuals are computed: once over
-        Z per (n, variant, max_len, window) and shared by all fields, since
-        a word fails an axiom over GF(p) iff p does not divide the gcd g
-        of the residual's coefficients (over Q, iff g != 0).  A modular
-        domain ignores the window and reports levels None.
+        every word and the all-zero report is returned.  Otherwise, or
+        when max_len <= 1 (the sweep is then the certificate's check on the
+        letters alone), each word's residuals are computed over Z, and a
+        word fails an axiom over GF(p) iff p does not divide the gcd g of
+        the residual's coefficients (over Q, iff g != 0).  A modular domain
+        ignores the window and reports levels None.
         """
         names = list(AXIOMS)
         if self.antipode_order_bound:
             names.append("antipode_order")
         if self.domain.kind == "mod":
             levels = None
-        words_checked = len(self.basis_words(max_len, levels))
+        words = self.basis_words(max_len, levels)
         p = self.field.characteristic
         failures = {name: 0 for name in names}
         examples = {name: [] for name in names}
         # up to length 1 the sweep checks only the unit and the letters,
         # the certificate's own last check, so certifying cannot be cheaper
-        if max_len <= 1 or not self._certified(p):
-            _, residues = self._integer_residuals(max_len, levels)
-            for w, gcds in residues:
+        if max_len <= 1 or not self.certify_hopf_ideal(0)["ok"]:
+            for w, gcds in self._integer_residuals(words):
                 for name, g in zip(names, gcds):
                     if _fails(g, p):
                         failures[name] += 1
@@ -303,26 +298,12 @@ class FreeHopfAlgebra:
             "config": self.describe(),
             "max_len": max_len,
             "levels": list(levels) if levels else None,
-            "words_checked": words_checked,
+            "words_checked": len(words),
             "failures": failures,
             "failure_examples": {k: v for k, v in examples.items() if v},
             "residuals": residuals,
             "ok": residuals == 0,
         }
-
-    @classmethod
-    def _maps_from_letters(cls):
-        """Are the single-word structure maps this class's own, defined on
-        letters and extended (anti-)multiplicatively?"""
-        return all(getattr(cls, name) is getattr(FreeHopfAlgebra, name) for name in _LETTER_MAPS)
-
-    def _certified(self, p):
-        """Does the integer certificate pass in characteristic p?  False
-        for a class whose single-word maps are not fixed by letters."""
-        if not self._maps_from_letters():
-            return False
-        checks, _ = self._integer_certificate()
-        return not any(_fails(g, p) for residues in checks.values() for _, g in residues)
 
     def certify_hopf_ideal(self, max_examples=5):
         """Prove the Hopf axioms on every word, at every length, from a
@@ -351,21 +332,16 @@ class FreeHopfAlgebra:
         translation, so nat/int domains check the window (0, 4) for
         confluence, the instances of window (0, 2) and the letters of level
         0; modular domains check everything.  Each item's integer residual
-        is reduced to the gcd of its coefficients once per (type, RuleSet),
-        and an item fails over GF(p) iff p does not divide that gcd (over
-        Q, iff it is nonzero).
+        is reduced to the gcd of its coefficients once per RuleSet, and an
+        item fails over GF(p) iff p does not divide that gcd (over Q, iff
+        it is nonzero).
 
         The report gives per-check failure counts, up to max_examples
         failing items per check, ok, the seconds this call took (a cached
         certificate costs only the projection), and the work done:
         ambiguities found and resolved directly (the rest by symmetry),
-        rule instances and letters checked.  The argument needs the maps
-        fixed by letters, so a subclass that overrides a single-word map
-        gets a TypeError.
+        rule instances and letters checked.
         """
-        if not self._maps_from_letters():
-            raise TypeError("%s overrides a single-word structure map; the Hopf-ideal "
-                            "certificate holds only for maps fixed by letters" % type(self).__name__)
         start = time.perf_counter()
         checks, work = self._integer_certificate()
         p = self.field.characteristic
@@ -386,12 +362,12 @@ class FreeHopfAlgebra:
 
     def _integer_certificate(self):
         """({check: [(label, gcd), ...]}, work) of certify_hopf_ideal over Z,
-        keeping only items with a nonzero gcd; cached per (type, RuleSet)."""
-        cache_key = (type(self), self.rules)
-        hit = _CERTIFICATE_CACHE.get(cache_key)
+        keeping only items with a nonzero gcd; cached per RuleSet, since the
+        single-word maps are fixed by the letters."""
+        rules = self.rules
+        hit = _CERTIFICATE_CACHE.get(rules)
         if hit is not None:
             return hit
-        rules = self.rules
         mod = self.domain.kind == "mod"
 
         confluence = check_confluence(self.n, self.domain, None if mod else (0, 4))
@@ -414,25 +390,20 @@ class FreeHopfAlgebra:
                 if g:
                     out.append((label, g))
 
-        words, residues = self._integer_residuals(1, None if mod else (0, 0))
-        letters = [(word_str(w), gcd(*gcds)) for w, gcds in residues]
+        words = self.basis_words(1, None if mod else (0, 0))
+        letters = [(word_str(w), gcd(*gcds)) for w, gcds in self._integer_residuals(words)]
 
         checks = {"confluence": ambiguities, "delta": delta, "counit": counit,
                   "antipode": anti, "letters": letters}
         work = {"ambiguities": confluence.total, "ambiguities_checked": confluence.checked,
-                "rule_instances": len(instances), "letters": words - 1}
-        hit = _CERTIFICATE_CACHE[cache_key] = (checks, work)
+                "rule_instances": len(instances), "letters": len(words) - 1}
+        hit = _CERTIFICATE_CACHE[rules] = (checks, work)
         return hit
 
-    def _integer_residuals(self, max_len, levels):
-        """(words_checked, [(w, gcds), ...]): for each basis word, in basis
-        order, the gcds of the integer residual of each axiom, kept only for
-        words with some nonzero gcd.  Cached per (type, RuleSet, max_len,
-        window), so a subclass with other structure maps has its own entry."""
-        cache_key = (type(self), self.rules, max_len, tuple(levels) if levels else None)
-        hit = _RESIDUAL_CACHE.get(cache_key)
-        if hit is not None:
-            return hit
+    def _integer_residuals(self, words):
+        """[(w, gcds), ...]: for each irreducible word, in the given order,
+        the gcds of the integer residual of each axiom, kept only for words
+        with some nonzero gcd."""
         nf = self.rules.normal_form_word
         delta = self.delta_word
         counit = self.counit_word
@@ -445,7 +416,6 @@ class FreeHopfAlgebra:
                 s = images[a] = self.antipode_int({a: 1})
             return s
 
-        words = self.basis_words(max_len, levels)
         residues = []
         for w in words:
             # each map accumulates lhs - rhs of one axiom; inline, not
@@ -488,8 +458,7 @@ class FreeHopfAlgebra:
             gcds = tuple(gcd(*m.values()) for m in maps)
             if any(gcds):
                 residues.append((w, gcds))
-        hit = _RESIDUAL_CACHE[cache_key] = (len(words), residues)
-        return hit
+        return residues
 
 
 class _Combination:

@@ -301,10 +301,11 @@ class RuleSet:
 
 @dataclass
 class AmbiguityRecord:
+    """An ambiguity whose two reductions have different normal forms."""
+
     word: tuple
     match_a: tuple  # (rule, pos)
     match_b: tuple
-    resolved: bool
     nf_a: dict
     nf_b: dict
 
@@ -313,7 +314,6 @@ class AmbiguityRecord:
             "word": word_str(self.word),
             "match_a": [RULE_NAMES[self.match_a[0]], self.match_a[1]],
             "match_b": [RULE_NAMES[self.match_b[0]], self.match_b[1]],
-            "resolved": self.resolved,
             "nf_a": {word_str(w): c for w, c in sorted(self.nf_a.items(), key=lambda t: storage_key(t[0]))},
             "nf_b": {word_str(w): c for w, c in sorted(self.nf_b.items(), key=lambda t: storage_key(t[0]))},
         }
@@ -493,7 +493,7 @@ def _resolve(rs, ambiguities, group):
         nf_a = rs.normal_form_int(rs.reduce_once(word, *ma))
         nf_b = rs.normal_form_int(rs.reduce_once(word, *mb))
         if nf_a != nf_b:
-            unresolved.append(AmbiguityRecord(word, ma, mb, False, nf_a, nf_b))
+            unresolved.append(AmbiguityRecord(word, ma, mb, nf_a, nf_b))
         for table, rules in group:
             covered.add(_key(_image(table, word), (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])))
     return unresolved, checked

@@ -1,11 +1,17 @@
-"""Broken rewriting rules, shared by the confluence and Hopf-ideal
-certificate tests.
+"""Broken rewriting rules and structure maps, shared by the confluence,
+Hopf-ideal certificate and axiom tests.
 
-An edit takes (w, rule, pos, out), where out is the right-hand side the real
-RuleSet.reduce_once gives for w at pos, and returns a broken one;
-patch_reduce_once installs it for one test.
+A rule edit takes (w, rule, pos, out), where out is the right-hand side the
+real RuleSet.reduce_once gives for w at pos, and returns a broken one;
+patch_reduce_once installs it for one test.  A map edit takes the integer
+map a FreeHopfAlgebra single-word map returns and returns a broken one;
+patch_map installs it for one test.  patch_map clears the shared RuleSets
+first, as the Hopf tests of rule edits do, so every cache keyed by RuleSet
+starts empty under the mutant and the real algebra's entries are never read
+or written.
 """
 
+from freehopf import FreeHopfAlgebra, rewrite
 from freehopf.rewrite import R1, R2, R3, RuleSet
 from freehopf.words import storage_key
 
@@ -17,6 +23,29 @@ def patch_reduce_once(monkeypatch, edit):
         return edit(w, rule, pos, original(self, w, rule, pos))
 
     monkeypatch.setattr(RuleSet, "reduce_once", broken)
+
+
+def patch_map(monkeypatch, name, edit):
+    """FreeHopfAlgebra.<name> (a method returning an integer map) with edit
+    applied to every value it returns."""
+    original = getattr(FreeHopfAlgebra, name)
+
+    def broken(self, *args, **kwargs):
+        return edit(original(self, *args, **kwargs))
+
+    monkeypatch.setattr(rewrite, "_RULESETS", {})
+    monkeypatch.setattr(FreeHopfAlgebra, name, broken)
+
+
+def negate(terms):
+    """-S in place of S: every antipode residual becomes twice an integer
+    map, so the axioms hold over GF(2) and fail over Q, GF(3) and GF(5)."""
+    return {t: -c for t, c in terms.items()}
+
+
+def double(terms):
+    """2*Delta in place of Delta on every word: the counit axioms fail."""
+    return {t: 2 * c for t, c in terms.items()}
 
 
 def _drop_unit_term(rules, w, rule, pos, out):

@@ -399,6 +399,6 @@ def oracle_check_confluence(n, dom, levels=None):
             nf_a = rs.normal_form_int(rs.reduce_once(word, ra, 0))
             nf_b = rs.normal_form_int(rs.reduce_once(word, rb, s))
             if nf_a != nf_b:
-                unresolved.append(AmbiguityRecord(word, (ra, 0), (rb, s), False, nf_a, nf_b))
+                unresolved.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a, nf_b))
     unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
     return ConfluenceReport(n, dom, levels, len(seen), unresolved, len(seen), 1)

@@ -9,7 +9,8 @@ from freehopf import Field, FreeHopfAlgebra, hopf, parse_element, rewrite
 from freehopf.hopf import Element, parse_variant
 from freehopf.words import UNIT, LevelDomain
 
-from mutants import break_one, drop_delta, drop_delta_r1, patch_reduce_once
+from mutants import (break_one, double, drop_delta, drop_delta_r1, negate, patch_map,
+                     patch_reduce_once)
 from oracles import oracle_verify_axioms
 
 
@@ -224,22 +225,24 @@ def test_axiom_reports_match_per_field_oracle(variant, levels):
         assert H.verify_axioms(2, levels) == oracle_verify_axioms(H, 2, levels)
 
 
-class NegatedAntipode(FreeHopfAlgebra):
-    """S replaced by -S: every antipode residual becomes twice an integer
-    map, so the axioms hold over GF(2) and fail over Q, GF(3) and GF(5)."""
+def _real_maps(variant):
+    """The real algebra's RuleSet, cached coproducts and certificate (filled
+    here), which a map mutant must neither read nor write."""
+    H = FreeHopfAlgebra(2, variant)
+    assert H.certify_hopf_ideal()["ok"]
+    return H.rules, dict(hopf._DELTA_CACHES[H.rules]), hopf._CERTIFICATE_CACHE[H.rules]
 
-    def antipode_int(self, terms, power=1):
-        return {t: -c for t, c in super().antipode_int(terms, power).items()}
+
+MUTANT_CONFIGS = (("free", (0, 1)), ("ord:1", None))
 
 
-@pytest.mark.parametrize("variant,levels", (("free", (0, 1)), ("ord:1", None)))
-def test_negated_antipode_residuals_project_by_gcd(variant, levels):
-    # the real algebra's entry is cached first; the subclass must not read it
-    real = FreeHopfAlgebra(2, variant, Field.rationals())
-    assert real._integer_residuals(2, levels)[1] == []
+@pytest.mark.parametrize("variant,levels", MUTANT_CONFIGS)
+def test_negated_antipode_residuals_project_by_gcd(monkeypatch, variant, levels):
+    before = _real_maps(variant)
+    patch_map(monkeypatch, "antipode_int", negate)
     reports = {}
     for tok in FIELD_TOKENS:
-        H = NegatedAntipode(2, variant, Field.from_token(tok))
+        H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
         for max_examples in (5, 1):
             report = H.verify_axioms(2, levels, max_examples)
             assert report == oracle_verify_axioms(H, 2, levels, max_examples)
@@ -255,21 +258,25 @@ def test_negated_antipode_residuals_project_by_gcd(variant, levels):
             assert len(rep["failure_examples"][name]) == 1
         if variant.startswith("ord:"):
             assert rep["failures"]["antipode_order"] == rep["words_checked"]
-    # and the real algebra still reads its own, clean entry
-    assert real._integer_residuals(2, levels)[1] == []
+    # the real algebra's caches are untouched, and its axioms still hold
+    monkeypatch.undo()
+    assert _real_maps(variant) == before
     assert FreeHopfAlgebra(2, variant, Field.prime(3)).verify_axioms(2, levels)["ok"]
 
 
-def test_mod_axioms_ignore_the_window():
+def test_mod_axioms_ignore_the_window(monkeypatch):
     # the window is ignored on a modular domain: the report records none,
-    # and the sweep's integer residuals are computed once
-    H = NegatedAntipode(2, "ord:1", Field.rationals())
-    report = H.verify_axioms(2, (0, 1))
+    # and every window gives the same report, failing or not
+    real = FreeHopfAlgebra(2, "ord:1")
+    report = real.verify_axioms(2, (0, 1))
     assert report["levels"] is None
-    assert report == H.verify_axioms(2) == oracle_verify_axioms(H, 2, (0, 1))
-    keys = [k for k in hopf._RESIDUAL_CACHE if k[:3] == (NegatedAntipode, H.rules, 2)]
-    assert keys == [(NegatedAntipode, H.rules, 2, None)]
-    assert FreeHopfAlgebra(2, "ord:1").verify_axioms(2, (0, 1))["levels"] is None
+    assert report == real.verify_axioms(2) == real.verify_axioms(2, (3, 7))
+    patch_map(monkeypatch, "antipode_int", negate)
+    H = FreeHopfAlgebra(2, "ord:1")
+    report = H.verify_axioms(2, (0, 1))
+    assert report["levels"] is None and not report["ok"]
+    assert report == H.verify_axioms(2) == H.verify_axioms(2, (3, 7))
+    assert report == oracle_verify_axioms(H, 2, (0, 1))
 
 
 CERT_CONFIGS = (("free", (0, 2)), ("bij", (-1, 1)), ("ord:1", None), ("ord:2", None))
@@ -285,8 +292,7 @@ def test_certificate_passes_and_the_sweep_agrees(n, variant, levels, max_len):
         assert not any(cert["failures"].values()) and cert["failure_examples"] == {}
     # the per-word integer sweep is the oracle: no word has a residue
     H = FreeHopfAlgebra(n, variant)
-    words, residues = H._integer_residuals(max_len, levels)
-    assert words == len(H.basis_words(max_len, levels)) and residues == []
+    assert H._integer_residuals(H.basis_words(max_len, levels)) == []
 
 
 def test_certificate_report_content():
@@ -354,32 +360,27 @@ def test_certificate_keeps_reducible_words_out_of_the_delta_cache(monkeypatch):
     for variant in ("free", "ord:2"):
         H = FreeHopfAlgebra(2, variant)
         assert H.certify_hopf_ideal()["ok"]
-        cached = hopf._DELTA_CACHES[(FreeHopfAlgebra, H.rules)]
+        cached = hopf._DELTA_CACHES[H.rules]
         assert cached and all(H.rules.is_irreducible(w) for w in cached)
 
 
-class DoubledCoproduct(FreeHopfAlgebra):
-    """Delta replaced by 2*Delta on every word: the counit axioms fail."""
-
-    def _delta_terms(self, w):
-        return {t: 2 * c for t, c in super()._delta_terms(w).items()}
-
-
 def test_overridden_coproduct_stays_out_of_the_real_delta_cache(monkeypatch):
-    monkeypatch.setattr(hopf, "_DELTA_CACHES", {})
-    doubled = DoubledCoproduct(2, "ord:1")
-    assert not doubled.verify_axioms(2)["ok"]
+    before = [_real_maps(variant) for variant, _ in MUTANT_CONFIGS]
+    patch_map(monkeypatch, "_delta_terms", double)
+    for variant, levels in MUTANT_CONFIGS:
+        for tok in FIELD_TOKENS:
+            H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
+            assert not H.certify_hopf_ideal()["ok"]
+            report = H.verify_axioms(2, levels)
+            assert report == oracle_verify_axioms(H, 2, levels)
+            # (eps(x)id)(2 Delta)(w) - w = w on every word, in every field
+            assert report["failures"]["counit_left"] == report["words_checked"]
+    monkeypatch.undo()
+    assert [_real_maps(variant) for variant, _ in MUTANT_CONFIGS] == before
     real = FreeHopfAlgebra(2, "ord:1")
     x = real.gen(1, 1, 0)
     assert x.coproduct() == real.tensor(x, x) + real.tensor(real.gen(1, 2, 0), real.gen(2, 1, 0))
     assert real.verify_axioms(2)["ok"]
-
-
-def test_certificate_refuses_overridden_maps():
-    with pytest.raises(TypeError):
-        NegatedAntipode(2, "ord:1").certify_hopf_ideal()
-    assert not NegatedAntipode._maps_from_letters()
-    assert FreeHopfAlgebra._maps_from_letters()
 
 
 def test_cross_parent_operations_rejected():

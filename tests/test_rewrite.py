@@ -255,7 +255,7 @@ def test_confluence_mod_report_ignores_window():
 
 def _fields(report):
     """The total and the unresolved records, in report order."""
-    return report.total, [(r.word, r.match_a, r.match_b, r.resolved, r.nf_a, r.nf_b)
+    return report.total, [(r.word, r.match_a, r.match_b, r.nf_a, r.nf_b)
                           for r in report.unresolved]
 
 
@@ -342,4 +342,5 @@ def test_confluence_report_shape(monkeypatch):
     patch_reduce_once(monkeypatch, drop_delta)
     rec = check_confluence(2, MOD2).unresolved[0]
     d = rec.describe()
-    assert set(d) >= {"word", "match_a", "match_b", "resolved"}
+    assert set(d) == {"word", "match_a", "match_b", "nf_a", "nf_b"}
+    assert d["nf_a"] != d["nf_b"]
