@@ -264,8 +264,9 @@ class FreeHopfAlgebra:
           anti_coalgebra      Delta(S(w)) = twist (S(x)S) Delta(w)
           antipode_order      S^(2d)(w) = w   (ord variant only)
 
-        Certificate, then sweep: the basis words are enumerated first (so
-        words_checked and every window error are the sweep's).  If
+        Certificate, then sweep: the basis words are counted first (so
+        words_checked and every window error are the sweep's) and listed
+        only when the sweep runs.  If
         certify_hopf_ideal passes over this field, every axiom holds on
         every word and the all-zero report is returned.  Otherwise, or
         when max_len <= 1 (the sweep is then the certificate's check on the
@@ -279,14 +280,14 @@ class FreeHopfAlgebra:
             names.append("antipode_order")
         if self.domain.kind == "mod":
             levels = None
-        words = self.basis_words(max_len, levels)
+        words_checked = self.rules.irreducible_count(max_len, levels)
         p = self.field.characteristic
         failures = {name: 0 for name in names}
         examples = {name: [] for name in names}
         # up to length 1 the sweep checks only the unit and the letters,
         # the certificate's own last check, so certifying cannot be cheaper
         if max_len <= 1 or not self.certify_hopf_ideal(0)["ok"]:
-            for w, gcds in self._integer_residuals(words):
+            for w, gcds in self._integer_residuals(self.basis_words(max_len, levels)):
                 for name, g in zip(names, gcds):
                     if _fails(g, p):
                         failures[name] += 1
@@ -298,7 +299,7 @@ class FreeHopfAlgebra:
             "config": self.describe(),
             "max_len": max_len,
             "levels": list(levels) if levels else None,
-            "words_checked": len(words),
+            "words_checked": words_checked,
             "failures": failures,
             "failure_examples": {k: v for k, v in examples.items() if v},
             "residuals": residuals,

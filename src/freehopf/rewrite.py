@@ -16,7 +16,9 @@ n for the last index value and using ' for a level one step up:
 
 All rule coefficients are integers, so a single word's normal form has
 integer coefficients no matter the ground field; normal forms are cached
-per (n, domain) and shared by every field.
+per (n, domain) and shared by every field.  Each rewrite step reads the
+leftmost rule match, and its right-hand side, from a per-RuleSet table of
+2- and 3-letter windows.
 
 Every same-length word on a right-hand side is strictly smaller than the
 left-hand side in words.compare_words, which is what makes the rewriting
@@ -24,6 +26,7 @@ terminate; check_confluence certifies local confluence by resolving every
 concrete overlap and inclusion ambiguity inside a level window.
 """
 
+import weakref
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -46,6 +49,30 @@ def rules_for(n, dom):
     return rs
 
 
+# step-table entry of a 2-letter window where no R1 or R2 matches but an R3
+# or R4 left-hand side may start
+_THREE = "R3/R4"
+
+
+class _StepTable(dict):
+    """The leftmost strategy's rewrites by letter window, for one RuleSet,
+    filled on first lookup.  A 2-letter window maps to the ((mid, c), ...)
+    right-hand side of R1 (else R2) on it, to _THREE, or to None; a 3-letter
+    window maps to the right-hand side of R3 (else R4) on it, or to None.
+    Each right-hand side is reduce_once of the window alone, so rewriting
+    u = pre + window + post gives pre + mid + post for each (mid, c).
+    The table holds its RuleSet weakly, so the two form no reference cycle
+    and a dropped RuleSet's caches are freed at once."""
+
+    def __init__(self, rules):
+        super().__init__()
+        self.rules = weakref.proxy(rules)
+
+    def __missing__(self, window):
+        entry = self[window] = self.rules._step_entry(window)
+        return entry
+
+
 class RuleSet:
     """Matching and reduction for a fixed n >= 2 and level domain."""
 
@@ -57,6 +84,7 @@ class RuleSet:
         self.n = n
         self.dom = dom
         self._nf = {}
+        self._steps = _StepTable(self)
 
     # -- matching ---------------------------------------------------------
 
@@ -101,28 +129,8 @@ class RuleSet:
         out.sort(key=lambda m: (m[1], m[0]))
         return out
 
-    def first_match(self, w):
-        """Leftmost match, preferring R1 > R2 > R3 > R4 at equal positions."""
-        n, up = self.n, self.dom.up
-        last = len(w)
-        for pos in range(last - 1):
-            a, b = w[pos], w[pos + 1]
-            if a[1] == n and b[1] == n and b[2] == up(a[2]):
-                return (R1, pos)
-            if a[0] == n and b[0] == n and a[2] == up(b[2]):
-                return (R2, pos)
-            if pos + 3 <= last:
-                c = w[pos + 2]
-                if (a[1] == n and b[1] == n - 1 and c[1] == n - 1
-                        and b[2] == up(a[2]) and c[2] == up(b[2])):
-                    return (R3, pos)
-                if (a[0] == n and b[0] == n - 1 and c[0] == n - 1
-                        and b[2] == up(c[2]) and a[2] == up(b[2])):
-                    return (R4, pos)
-        return None
-
     def is_irreducible(self, w):
-        return self.first_match(w) is None
+        return self._leftmost_step(w) is None
 
     # -- single-step reduction -------------------------------------------
 
@@ -182,36 +190,74 @@ class RuleSet:
                 put(((n, i, r1), (a, j, r2), (a, k, r3)), -1)
         return acc
 
+    # -- the step table ----------------------------------------------------
+
+    def _step_entry(self, window):
+        """Table entry of a 2- or 3-letter window (see _StepTable)."""
+        pair = len(window) == 2
+        for rule in (R1, R2) if pair else (R3, R4):
+            if self.match_at(window, rule, 0):
+                return tuple(self.reduce_once(window, rule, 0).items())
+        if pair:
+            n, up = self.n, self.dom.up
+            a, b = window
+            if (a[1] == n and b[1] == n - 1 and b[2] == up(a[2])
+                    or a[0] == n and b[0] == n - 1 and a[2] == up(b[2])):
+                return _THREE
+        return None
+
+    def _leftmost_step(self, u):
+        """(pos, width, ((mid, c), ...)) of the rewrite the leftmost
+        strategy applies to u (R1 before R2 before R3 before R4 at equal
+        positions), or None if u is irreducible."""
+        steps = self._steps
+        for pos in range(len(u) - 1):
+            rhs = steps[u[pos:pos + 2]]
+            if rhs is None:
+                continue
+            if rhs is not _THREE:
+                return pos, 2, rhs
+            if pos + 3 <= len(u):
+                rhs = steps[u[pos:pos + 3]]
+                if rhs is not None:
+                    return pos, 3, rhs
+        return None
+
     # -- normal forms ------------------------------------------------------
 
     def normal_form_word(self, w):
         """Integer-coefficient normal form of a single word, cached.
 
         Strategy: repeatedly rewrite the leftmost match (R1 before R2 before
-        R3 before R4 at equal positions).  Confluence makes the strategy
-        irrelevant for the result.
+        R3 before R4 at equal positions), read from the step table.
+        Confluence makes the strategy irrelevant for the result.
         """
         cache = self._nf
         hit = cache.get(w)
         if hit is not None:
             return hit
-        stack = [w]
+        step = self._leftmost_step
+        stack = [(w, None)]  # (word, its expansion once found)
         while stack:
-            u = stack[-1]
+            u, expansion = stack[-1]
             if u in cache:
                 stack.pop()
                 continue
-            m = self.first_match(u)
-            if m is None:
-                cache[u] = {u: 1}
-                stack.pop()
-                continue
-            expansion = self.reduce_once(u, m[0], m[1])
-            pending = [v for v in expansion if v not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            cache[u] = combine((c, cache[v]) for v, c in expansion.items())
+            if expansion is None:
+                found = step(u)
+                if found is None:
+                    cache[u] = {u: 1}
+                    stack.pop()
+                    continue
+                pos, width, rhs = found
+                pre, post = u[:pos], u[pos + width:]
+                expansion = [(pre + mid + post, c) for mid, c in rhs]
+                pending = [(v, None) for v, _ in expansion if v not in cache]
+                if pending:
+                    stack[-1] = (u, expansion)
+                    stack.extend(pending)
+                    continue
+            cache[u] = combine((c, cache[v]) for v, c in expansion)
             stack.pop()
         return cache[w]
 
@@ -239,27 +285,47 @@ class RuleSet:
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         letters = self.alphabet(levels)
+        extends = self._extends
         out = [UNIT]
         layer = [UNIT]
         for _ in range(max_len):
-            nxt = []
-            for w in layer:
-                for l in letters:
-                    v = w + (l,)
-                    top = len(v)
-                    if top >= 2 and (
-                        self.match_at(v, R1, top - 2) or self.match_at(v, R2, top - 2)
-                    ):
-                        continue
-                    if top >= 3 and (
-                        self.match_at(v, R3, top - 3) or self.match_at(v, R4, top - 3)
-                    ):
-                        continue
-                    nxt.append(v)
+            nxt = [w + (l,) for w in layer for l in letters if extends(w[-2:], l)]
             nxt.sort(key=storage_key)
             out.extend(nxt)
             layer = nxt
         return out
+
+    def irreducible_count(self, max_len, levels=None):
+        """len(irreducible_words(max_len, levels)), with the same errors,
+        counted per length over the last two letters of the words (whether
+        a word extends depends only on its last two letters)."""
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
+        letters = self.alphabet(levels)
+        extends = self._extends
+        total = 1
+        layer = {UNIT: 1}
+        for _ in range(max_len):
+            nxt = {}
+            for tail, c in layer.items():
+                for l in letters:
+                    if extends(tail, l):
+                        key = tail[-1:] + (l,)
+                        nxt[key] = nxt.get(key, 0) + c
+            total += sum(nxt.values())
+            layer = nxt
+        return total
+
+    def _extends(self, tail, l):
+        """Is w + (l,) irreducible, for an irreducible w ending in tail
+        (its last two letters, or all of a shorter w)?  Only a left-hand
+        side ending at l can match."""
+        steps = self._steps
+        if tail:
+            rhs = steps[(tail[-1], l)]
+            if rhs is not None and rhs is not _THREE:
+                return False
+        return len(tail) < 2 or steps[tail] is not _THREE or steps[tail + (l,)] is None
 
     # -- rule instances (for the confluence check) --------------------------
 
@@ -360,20 +426,25 @@ def check_confluence(n, dom, levels=None):
     Ambiguities are looked up in an index of the rule instances by whole
     left-hand side (inclusions) and by proper prefix (overlaps).  Normal
     forms are computed for one ambiguity per orbit of a group of letter
-    maps; the rest of the orbit is only marked as covered.  The report
-    counts every ambiguity and keeps a record of each unresolved one.  The
-    candidate maps are the permutations of the indices 1..n-2,
+    maps and, on a nat/int window, of the level translations; the rest of
+    the orbit is only marked as covered.  The report counts every
+    ambiguity and keeps a record of each unresolved one.  The candidate
+    letter maps are the permutations of the indices 1..n-2,
     the flip x[i,j;r] -> x[j,i;c-r] (c = lo+hi on a window, 0 mod m; it
     swaps R1 with R2 and R3 with R4 and keeps match positions), the mod
     level rotations r -> r+1, and their products; only those that map the
     rule instances onto themselves and commute with reduce_once on every
-    instance are kept, and they form a subgroup.  Such a map carries a
+    instance are kept, and they form a subgroup.  On a nat/int window the
+    translations r -> r+t are used only if the unit shifts r -> r+1 and
+    r -> r-1 map every instance whose image stays in the window to an
+    instance and commute with reduce_once on it (see _verified_shifts);
+    rules broken at a single level fail that.  Such a map carries a
     resolution of one ambiguity to a resolution of its image, so if every
     representative resolves, so does every ambiguity, and the rules are
     confluent on the window by Bergman's diamond lemma.  If some
     representative is unresolved, the check is repeated with the trivial
-    group, so the report lists every unresolved ambiguity as a full check
-    does.
+    group and no translations, so the report lists every unresolved
+    ambiguity as a full check does.
 
     Normal forms are cached on a private RuleSet that is dropped with the
     check; the shared rules_for cache is left as it was.
@@ -390,10 +461,11 @@ def check_confluence(n, dom, levels=None):
     inst = rs.rule_instances(levels)
     ambiguities = _ambiguities(inst)
     group = _verified_symmetries(rs, inst, levels)
-    unresolved, checked = _resolve(rs, ambiguities, group)
-    if len(group) > 1 and unresolved:
-        group = group[:1]  # the identity
-        unresolved, checked = _resolve(rs, ambiguities, group)
+    shifts = _verified_shifts(rs, inst, levels)
+    unresolved, checked = _resolve(rs, ambiguities, group, shifts, levels)
+    if (len(group) > 1 or shifts) and unresolved:
+        group, shifts = group[:1], ()  # the identity alone
+        unresolved, checked = _resolve(rs, ambiguities, group, shifts, levels)
     return ConfluenceReport(n, dom, levels, len(ambiguities), unresolved, checked, len(group))
 
 
@@ -463,10 +535,14 @@ def _candidate_symmetries(rs, levels):
     return out
 
 
+def _instance_rhs(rs, inst):
+    return {(rule, w): rs.reduce_once(w, rule, 0) for rule, w in inst}
+
+
 def _verified_symmetries(rs, inst, levels):
     """The candidates that map every rule instance to a rule instance and
     commute with reduce_once on it, identity first."""
-    rhs = {(rule, w): rs.reduce_once(w, rule, 0) for rule, w in inst}
+    rhs = _instance_rhs(rs, inst)
     return [
         (table, rules) for table, rules in _candidate_symmetries(rs, levels)
         if all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
@@ -474,15 +550,46 @@ def _verified_symmetries(rs, inst, levels):
     ]
 
 
+def _shift_table(rs, levels, t):
+    """The translation r -> r+t on the letters of the window it keeps there."""
+    lvls = rs.dom.levels(levels)
+    return {(i, j, r): (i, j, r + t) for i, j, r in rs.alphabet(levels)
+            if lvls[0] <= r + t <= lvls[-1]}
+
+
+def _verified_shifts(rs, inst, levels):
+    """The level translations r -> r+t of a nat/int window that carry a
+    resolution along: every t != 0 with |t| <= hi-lo if the unit shifts
+    t = 1 and t = -1 each map every rule instance whose image stays in the
+    window to a rule instance and commute with reduce_once on it, else
+    none (and none on a modular domain, whose rotations are letter maps).
+    A translate of a word that stays in the window, an interval, is a chain
+    of unit shifts inside it, so every rewrite of the word commutes with
+    the translation."""
+    if rs.dom.kind == "mod":
+        return ()
+    rhs = _instance_rhs(rs, inst)
+    for t in (1, -1):
+        table = _shift_table(rs, levels, t)
+        for (rule, w), out in rhs.items():
+            if all(l in table for l in w) and (
+                    rhs.get((rule, _image(table, w))) != _image_terms(table, out)):
+                return ()
+    width = len(rs.dom.levels(levels)) - 1
+    return tuple(t for t in range(-width, width + 1) if t)
+
+
 def _key(word, ma, mb):
     """One key per ambiguity, whichever of its matches comes first."""
     return (word,) + tuple(sorted((ma, mb)))
 
 
-def _resolve(rs, ambiguities, group):
+def _resolve(rs, ambiguities, group, shifts, levels):
     """Records of the ambiguities that do not resolve, and the number whose
-    normal forms were computed: the first ambiguity of each orbit of the
-    group, whose images under the group are then marked as covered."""
+    normal forms were computed: the first ambiguity of each orbit, whose
+    images under the group, and the translates by shifts of those images
+    that stay in the window, are then marked as covered."""
+    translations = [_shift_table(rs, levels, t) for t in shifts]
     covered = set()
     unresolved = []
     checked = 0
@@ -495,5 +602,10 @@ def _resolve(rs, ambiguities, group):
         if nf_a != nf_b:
             unresolved.append(AmbiguityRecord(word, ma, mb, nf_a, nf_b))
         for table, rules in group:
-            covered.add(_key(_image(table, word), (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])))
+            image = _image(table, word)
+            a, b = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])
+            covered.add(_key(image, a, b))
+            for shift in translations:
+                if all(l in shift for l in image):
+                    covered.add(_key(_image(shift, image), a, b))
     return unresolved, checked

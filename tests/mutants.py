@@ -68,9 +68,23 @@ def drop_delta_r1(w, rule, pos, out):
 BROKEN_R3 = ((1, 2, 2), (1, 1, 3), (1, 1, 0))
 
 
-def break_one(w, rule, pos, out):
-    """The largest term of the one R3 instance BROKEN_R3 dropped."""
-    if rule == R3 and w[pos:pos + 3] == BROKEN_R3:
+def _drop_largest_term(broken, w, rule, pos, out):
+    if rule == R3 and w[pos:pos + 3] == broken:
         out = dict(out)
         del out[max(out, key=storage_key)]
     return out
+
+
+def break_one(w, rule, pos, out):
+    """The largest term of the one R3 instance BROKEN_R3 dropped."""
+    return _drop_largest_term(BROKEN_R3, w, rule, pos, out)
+
+
+# an R3 instance at levels 2, 3, 4 of the nat window (0, 6) at n = 2
+BROKEN_R3_NAT = ((1, 2, 2), (1, 1, 3), (1, 1, 4))
+
+
+def break_one_nat(w, rule, pos, out):
+    """The largest term of the one R3 instance BROKEN_R3_NAT dropped: the
+    rules are broken at a single level."""
+    return _drop_largest_term(BROKEN_R3_NAT, w, rule, pos, out)

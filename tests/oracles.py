@@ -6,8 +6,10 @@ and does not call into the package's rewrite or linalg internals, except
 oracle_verify_axioms, which checks the field projection of the integer
 axiom residuals against a per-field comparison built on the package's
 structure maps, oracle_scan_gf2, which reads the package's word
-coproducts, and oracle_check_confluence, which resolves every ambiguity
-with the package's rules and normal forms.  oracle_kernel is the tracked,
+coproducts, oracle_check_confluence, which resolves every ambiguity
+with the package's rules and normal forms, and oracle_normal_form_word,
+the match-and-reduce loop that the step table of
+freehopf.rewrite.RuleSet.normal_form_word replaced.  oracle_kernel is the tracked,
 fully reduced elimination that freehopf.linalg.kernel replaced, and
 oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
 the pair products, the route that freehopf.analysis._tensor_remainder
@@ -402,3 +404,35 @@ def oracle_check_confluence(n, dom, levels=None):
                 unresolved.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a, nf_b))
     unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
     return ConfluenceReport(n, dom, levels, len(seen), unresolved, len(seen), 1)
+
+
+def oracle_normal_form_word(rs, w, cache=None):
+    """Normal form of w by the loop that RuleSet.normal_form_word ran before
+    its step table: find the leftmost match (the first of rs.matches, so R1
+    before R2 before R3 before R4 at equal positions), rewrite it with
+    rs.reduce_once at its position in the whole word, repeat.  Normal forms
+    are kept in cache (a new dict by default), never in rs."""
+    cache = {} if cache is None else cache
+    stack = [w]
+    while stack:
+        u = stack[-1]
+        if u in cache:
+            stack.pop()
+            continue
+        found = rs.matches(u)
+        if not found:
+            cache[u] = {u: 1}
+            stack.pop()
+            continue
+        expansion = rs.reduce_once(u, *found[0])
+        pending = [v for v in expansion if v not in cache]
+        if pending:
+            stack.extend(pending)
+            continue
+        acc = {}
+        for v, c in expansion.items():
+            for t, k in cache[v].items():
+                acc[t] = acc.get(t, 0) + c * k
+        cache[u] = {t: c for t, c in acc.items() if c}
+        stack.pop()
+    return cache[w]

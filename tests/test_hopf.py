@@ -198,6 +198,27 @@ def test_basis_words_requires_window_for_free():
     assert len(H2.basis_words(1)) == 9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("variant,window", [
+    ("free", (0, 1)), ("bij", (-1, 0)), ("ord:1", None), ("ord:2", None),
+])
+def test_irreducible_count_is_the_number_of_basis_words(n, variant, window):
+    # verify_axioms reports this count as words_checked without listing
+    H = FreeHopfAlgebra(n, variant)
+    for max_len in range(4):
+        assert H.rules.irreducible_count(max_len, window) == len(H.basis_words(max_len, window))
+
+
+def test_irreducible_count_raises_as_the_listing_does():
+    rs = FreeHopfAlgebra(2, "free").rules
+    for args in ((-1, (0, 1)), (0, None), (2, (3, 1)), (2, (-1, 1)), (1.5, (0, 1)), (None, (0, 1))):
+        with pytest.raises(Exception) as listing:
+            rs.irreducible_words(*args)
+        with pytest.raises(Exception) as count:
+            rs.irreducible_count(*args)
+        assert (count.type, str(count.value)) == (listing.type, str(listing.value))
+
+
 def test_axioms_report_shape_and_counts():
     H = FreeHopfAlgebra(2, "ord:1", Field.prime(2))
     report = H.verify_axioms(2)

@@ -1,6 +1,8 @@
 """The rewriting system: frozen reductions, invariants, confluence."""
 
+import gc
 import random
+import weakref
 from itertools import product as iproduct
 
 import pytest
@@ -9,8 +11,9 @@ from freehopf import rewrite
 from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
 from freehopf.words import LevelDomain, Ordering, compare_words
 
-from mutants import break_one, drop_delta, patch_reduce_once
-from oracles import oracle_check_confluence, oracle_irreducible_count, oracle_reducible
+from mutants import break_one, break_one_nat, drop_delta, patch_reduce_once
+from oracles import (oracle_check_confluence, oracle_irreducible_count, oracle_normal_form_word,
+                     oracle_reducible)
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()
@@ -171,6 +174,64 @@ def test_normal_form_strategy_independent():
             assert random_nf(rs, {w: 1}) == rs.normal_form_word(w)
 
 
+# (n, domain, window, lengths of every word checked, lengths of a seeded
+# sample): every word up to length 4 of n = 3 on a 5-level window is 4.1
+# million words, so the larger alphabets are checked exhaustively up to a
+# shorter length and sampled above it
+STEP_TABLE_CONFIGS = [
+    (2, NAT, (0, 4), 3, (4,)), (2, INT, (-2, 2), 3, (4,)),
+    (2, MOD2, None, 4, ()), (2, MOD4, None, 3, (4,)),
+    (3, NAT, (0, 4), 2, (3, 4)), (3, INT, (-2, 2), 2, (3, 4)),
+    (3, MOD2, None, 3, (4,)), (3, MOD4, None, 2, (3, 4)),
+]
+
+
+@pytest.mark.parametrize("n,dom,window,full,sampled", STEP_TABLE_CONFIGS)
+def test_step_table_matches_the_match_and_reduce_loop(n, dom, window, full, sampled):
+    rs = RuleSet(n, dom)
+    letters = rs.alphabet(window)
+    rng = random.Random(n * 100 + len(letters))
+    words = [w for k in range(full + 1) for w in iproduct(letters, repeat=k)]
+    words += [tuple(rng.choice(letters) for _ in range(k)) for k in sampled for _ in range(1500)]
+    cache = {}
+    for w in words:
+        assert rs.normal_form_word(w) == oracle_normal_form_word(rs, w, cache), w
+        assert rs.is_irreducible(w) == (not rs.matches(w))
+
+
+def test_step_table_on_the_longest_ambiguity_words():
+    # every length-5 ambiguity word of n = 3 mod 2, and both of its one-step
+    # reductions
+    rs = RuleSet(3, MOD2)
+    cache = {}
+    words = [a for a in rewrite._ambiguities(rs.rule_instances()) if len(a[0]) == 5]
+    assert words
+    for word, ma, mb in words:
+        assert rs.normal_form_word(word) == oracle_normal_form_word(rs, word, cache)
+        for m in (ma, mb):
+            reduced = rs.reduce_once(word, *m)
+            expect = {}
+            for v, c in reduced.items():
+                for t, k in oracle_normal_form_word(rs, v, cache).items():
+                    expect[t] = expect.get(t, 0) + c * k
+            assert rs.normal_form_int(reduced) == {t: c for t, c in expect.items() if c}
+
+
+def test_a_dropped_rule_set_is_freed_without_the_cycle_collector():
+    # check_confluence drops its private RuleSet, normal forms and step
+    # table included, when it returns
+    gc.disable()
+    try:
+        rs = RuleSet(2, NAT)
+        rs.normal_form_word(((2, 2, 0), (2, 2, 1), (1, 2, 2)))
+        assert rs._steps
+        ref = weakref.ref(rs)
+        del rs
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_normal_form_int_linearity():
     rs = rules_for(2, NAT)
     a = ((1, 2, 0), (2, 2, 1))
@@ -261,12 +322,13 @@ def _fields(report):
 
 # Ambiguity totals of the full check, the order of the symmetry group it
 # verifies (index permutations x flip x mod rotations), and the number of
-# orbit representatives whose normal forms are computed.
+# orbit representatives whose normal forms are computed (orbits of that
+# group and, on nat/int windows, of the level translations).
 CONFLUENCE_PINNED = {
-    (2, NAT, (0, 6)): (576, 2, 288), (2, INT, (-2, 3)): (456, 2, 228),
+    (2, NAT, (0, 6)): (576, 2, 60), (2, INT, (-2, 3)): (456, 2, 60),
     (2, MOD2, None): (276, 4, 70), (2, MOD4, None): (480, 8, 60),
     (2, MOD6, None): (720, 12, 60),
-    (3, NAT, (0, 6)): (2376, 2, 1188), (3, INT, (-2, 3)): (1872, 2, 936),
+    (3, NAT, (0, 6)): (2376, 2, 252), (3, INT, (-2, 3)): (1872, 2, 252),
     (3, MOD2, None): (1072, 4, 269), (3, MOD4, None): (2016, 8, 252),
     (3, MOD6, None): (3024, 12, 252),
     (4, MOD2, None): (2980, 8, 408),
@@ -307,10 +369,15 @@ def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, windo
     # words where R1 and R2 match at one position; the flip swaps them, and
     # the leftmost strategy does not, so on the broken rules the normal
     # forms of an orbit are not the images of its representative's.
+    # On the nat window the break is the same at every level, so the level
+    # translations are verified too, and the fallback drops them with the
+    # letter maps.
     patch_reduce_once(monkeypatch, drop_delta)
     rs = RuleSet(2, dom)
+    inst = rs.rule_instances(window)
     order = CONFLUENCE_PINNED[(2, dom, window)][1]
-    assert len(rewrite._verified_symmetries(rs, rs.rule_instances(window), window)) == order
+    assert len(rewrite._verified_symmetries(rs, inst, window)) == order
+    assert bool(rewrite._verified_shifts(rs, inst, window)) == (dom.kind != "mod")
     report = check_confluence(2, dom, window)
     oracle = oracle_check_confluence(2, dom, window)
     assert _fields(report) == _fields(oracle)
@@ -331,6 +398,24 @@ def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
     assert _fields(report) == _fields(oracle)
     assert report.unresolved
     _assert_same_report(report, oracle)
+
+
+def test_confluence_rejects_translations_a_break_at_one_level_breaks(monkeypatch):
+    # drop one term of a single R3 instance at levels 2, 3, 4 of the nat
+    # window: no level translation commutes with that, so the orbits are
+    # those of the letter maps alone
+    rs = RuleSet(2, NAT)
+    inst = rs.rule_instances((0, 6))
+    assert rewrite._verified_shifts(rs, inst, (0, 6)) == tuple(range(-6, 0)) + tuple(range(1, 7))
+    patch_reduce_once(monkeypatch, break_one_nat)
+    assert rewrite._verified_shifts(rs, inst, (0, 6)) == ()
+    report = check_confluence(2, NAT, (0, 6))
+    oracle = oracle_check_confluence(2, NAT, (0, 6))
+    assert _fields(report) == _fields(oracle)
+    assert report.unresolved
+    _assert_same_report(report, oracle)
+    monkeypatch.setattr(rewrite, "_verified_shifts", lambda rs, inst, levels: ())
+    assert report.checked == check_confluence(2, NAT, (0, 6)).checked
 
 
 def test_confluence_report_shape(monkeypatch):
