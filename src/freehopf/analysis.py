@@ -7,6 +7,12 @@ subspace, primitive and grouplike searches, and a scanner that either
 checks the alternating candidate span or finds every k-dimensional
 subcoalgebra of a small ambient space over a prime field by enumerating
 the k-dimensional subspaces of the ambient's largest subcoalgebra.
+
+The primitive search solves its kernel on the basis words of bi-weight
+(0,0) only (x[i,j;r] has row weight s*e_i and column weight s*e_j, with
+s = (-1)^r), once a run-time check shows that the rules keep the
+bi-weight on the window; every primitive lies in that block.  If the
+check fails, it solves on every basis word.
 """
 
 import time
@@ -15,6 +21,7 @@ from itertools import combinations, product as iproduct
 
 from .hopf import Element, FreeHopfAlgebra, Tensor
 from .linalg import Echelon, combine, kernel
+from .rewrite import _verified_grading, bi_weight
 from .words import UNIT, storage_key, word_str
 
 
@@ -219,10 +226,10 @@ def largest_subcoalgebra(V):
 # -- primitive and grouplike searches -----------------------------------------
 
 
-def _primitive_map(H, max_len, levels=None):
+def _primitive_map(H, words):
     """Yield (w, Delta(w) - w (x) 1 - 1 (x) w) with integer coefficients for
-    each basis word w of length <= max_len, one at a time."""
-    for w in H.basis_words(max_len, levels):
+    each of the given basis words w, one at a time."""
+    for w in words:
         vec = dict(H.delta_word(w))
         for pair in ((w, UNIT), (UNIT, w)):  # inline: two single entries
             vec[pair] = vec.get(pair, 0) - 1
@@ -231,8 +238,26 @@ def _primitive_map(H, max_len, levels=None):
 
 def find_primitives(H, max_len, levels=None):
     """Basis of the space of primitive elements (Delta x = x (x) 1 + 1 (x) x)
-    supported on irreducible words of length <= max_len."""
-    return [Element(H, c) for c in kernel(H.field, _primitive_map(H, max_len, levels))]
+    supported on irreducible words of length <= max_len.
+
+    When the rules keep the bi-weight on the window (rewrite._verified_grading),
+    the kernel is built on the words of bi-weight (0,0) alone; otherwise on
+    every basis word.  The answer is the same: Delta is fixed by its
+    letters, and Delta(x[i,j;r]) = sum_a x[i,a;r] (x) x[a,j;r] maps
+    bi-weight (R,K) into the pairs of bi-weights (R,M), (M,K), which the
+    normal forms keep.  So no key of x -> Delta(x) - x (x) 1 - 1 (x) x is
+    hit by words of two bi-weights: the map is block-diagonal.  kernel
+    closes each word against the earlier words that raised the rank, so a
+    block's relations use that block's words alone, and a relation in
+    block (R,K) is a primitive, whose x (x) 1 and 1 (x) x terms force
+    K = 0 and R = 0.  The restricted kernel is therefore the full one,
+    relation for relation."""
+    words = H.basis_words(max_len, levels)
+    if _verified_grading(H.rules, levels):
+        n = H.n
+        zero = bi_weight(n, UNIT)
+        words = [w for w in words if bi_weight(n, w) == zero]
+    return [Element(H, c) for c in kernel(H.field, _primitive_map(H, words))]
 
 
 def find_grouplikes(V, bound=2 ** 24):

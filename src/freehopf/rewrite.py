@@ -23,7 +23,9 @@ leftmost rule match, and its right-hand side, from a per-RuleSet table of
 Every same-length word on a right-hand side is strictly smaller than the
 left-hand side in words.compare_words, which is what makes the rewriting
 terminate; check_confluence certifies local confluence by resolving every
-concrete overlap and inclusion ambiguity inside a level window.
+concrete overlap and inclusion ambiguity inside a level window.  Every rule
+also keeps the bi-weight of words (bi_weight); the primitive search relies
+on that only after _verified_grading has checked it on the window.
 """
 
 import weakref
@@ -85,6 +87,7 @@ class RuleSet:
         self.dom = dom
         self._nf = {}
         self._steps = _StepTable(self)
+        self._graded = {}  # level tuple -> do the rules keep the bi-weight
 
     # -- matching ---------------------------------------------------------
 
@@ -460,8 +463,9 @@ def check_confluence(n, dom, levels=None):
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(levels)
     ambiguities = _ambiguities(inst)
-    group = _verified_symmetries(rs, inst, levels)
-    shifts = _verified_shifts(rs, inst, levels)
+    rhs = _instance_rhs(rs, inst)
+    group = _verified_symmetries(rs, rhs, levels)
+    shifts = _verified_shifts(rs, rhs, levels)
     unresolved, checked = _resolve(rs, ambiguities, group, shifts, levels)
     if (len(group) > 1 or shifts) and unresolved:
         group, shifts = group[:1], ()  # the identity alone
@@ -536,13 +540,14 @@ def _candidate_symmetries(rs, levels):
 
 
 def _instance_rhs(rs, inst):
+    """reduce_once of each rule instance, keyed by (rule, word)."""
     return {(rule, w): rs.reduce_once(w, rule, 0) for rule, w in inst}
 
 
-def _verified_symmetries(rs, inst, levels):
+def _verified_symmetries(rs, rhs, levels):
     """The candidates that map every rule instance to a rule instance and
-    commute with reduce_once on it, identity first."""
-    rhs = _instance_rhs(rs, inst)
+    commute with reduce_once on it (rhs is _instance_rhs of the
+    instances), identity first."""
     return [
         (table, rules) for table, rules in _candidate_symmetries(rs, levels)
         if all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
@@ -557,18 +562,17 @@ def _shift_table(rs, levels, t):
             if lvls[0] <= r + t <= lvls[-1]}
 
 
-def _verified_shifts(rs, inst, levels):
+def _verified_shifts(rs, rhs, levels):
     """The level translations r -> r+t of a nat/int window that carry a
     resolution along: every t != 0 with |t| <= hi-lo if the unit shifts
     t = 1 and t = -1 each map every rule instance whose image stays in the
-    window to a rule instance and commute with reduce_once on it, else
-    none (and none on a modular domain, whose rotations are letter maps).
-    A translate of a word that stays in the window, an interval, is a chain
-    of unit shifts inside it, so every rewrite of the word commutes with
-    the translation."""
+    window to a rule instance and commute with reduce_once on it (rhs is
+    _instance_rhs of the instances), else none (and none on a modular
+    domain, whose rotations are letter maps).  A translate of a word that
+    stays in the window, an interval, is a chain of unit shifts inside it,
+    so every rewrite of the word commutes with the translation."""
     if rs.dom.kind == "mod":
         return ()
-    rhs = _instance_rhs(rs, inst)
     for t in (1, -1):
         table = _shift_table(rs, levels, t)
         for (rule, w), out in rhs.items():
@@ -577,6 +581,36 @@ def _verified_shifts(rs, inst, levels):
                 return ()
     width = len(rs.dom.levels(levels)) - 1
     return tuple(t for t in range(-width, width + 1) if t)
+
+
+def bi_weight(n, w):
+    """The (row, column) weight of a word in Z^n x Z^n: x[i,j;r] weighs
+    s*e_i and s*e_j with s = (-1)^r, and weights add along the word.  The
+    parity of r is well defined on a modular domain of even modulus."""
+    row, col = [0] * n, [0] * n
+    for i, j, r in w:
+        s = -1 if r % 2 else 1
+        row[i - 1] += s
+        col[j - 1] += s
+    return tuple(row), tuple(col)
+
+
+def _verified_grading(rs, levels):
+    """Do the rules keep the bi-weight on the level window (None on a
+    modular domain)?  True iff every term of reduce_once on every rule
+    instance of the window has its left-hand side's bi-weight.  Every
+    rewrite of a word with levels in the window applies such an instance
+    inside an unchanged context, so normal forms then keep the bi-weight
+    too.  Checked once per window and kept on the RuleSet."""
+    key = rs.dom.levels(levels)
+    ok = rs._graded.get(key)
+    if ok is None:
+        n = rs.n
+        rhs = _instance_rhs(rs, rs.rule_instances(levels))
+        ok = rs._graded[key] = all(
+            bi_weight(n, t) == bi_weight(n, w) for (_, w), out in rhs.items() for t in out
+        )
+    return ok
 
 
 def _key(word, ma, mb):

@@ -13,7 +13,7 @@ or written.
 
 from freehopf import FreeHopfAlgebra, rewrite
 from freehopf.rewrite import R1, R2, R3, RuleSet
-from freehopf.words import storage_key
+from freehopf.words import UNIT, storage_key
 
 
 def patch_reduce_once(monkeypatch, edit):
@@ -88,3 +88,28 @@ def break_one_nat(w, rule, pos, out):
     """The largest term of the one R3 instance BROKEN_R3_NAT dropped: the
     rules are broken at a single level."""
     return _drop_largest_term(BROKEN_R3_NAT, w, rule, pos, out)
+
+
+# an R1 instance at levels 0, 1 at n = 2, of bi-weight (e_1 - e_2, 0)
+BROKEN_R1 = ((1, 2, 0), (2, 2, 1))
+
+
+def break_grading(w, rule, pos, out):
+    """The unit, of bi-weight (0, 0), added to the right-hand side of the
+    one R1 instance BROKEN_R1: the rules no longer keep the bi-weight, and
+    the added term is shorter than the left-hand side, so rewriting still
+    terminates."""
+    if rule == R1 and w[pos:pos + 2] == BROKEN_R1:
+        out = dict(out)
+        key = w[:pos] + UNIT + w[pos + 2:]
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def make_primitive(w, delta):
+    """A coproduct edit: the value delta, which only the word w has, becomes
+    w (x) 1 + 1 (x) w, so w is primitive.  If w has bi-weight (0, 0), the
+    coproduct still keeps the grading."""
+    def edit(terms):
+        return {(w, UNIT): 1, (UNIT, w): 1} if terms == delta else terms
+    return edit

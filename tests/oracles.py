@@ -9,7 +9,10 @@ structure maps, oracle_scan_gf2, which reads the package's word
 coproducts, oracle_check_confluence, which resolves every ambiguity
 with the package's rules and normal forms, and oracle_normal_form_word,
 the match-and-reduce loop that the step table of
-freehopf.rewrite.RuleSet.normal_form_word replaced.  oracle_kernel is the tracked,
+freehopf.rewrite.RuleSet.normal_form_word replaced, and
+oracle_find_primitives, the kernel on every basis word that the
+bi-weight (0,0) kernel of freehopf.analysis.find_primitives replaced.
+oracle_kernel is the tracked,
 fully reduced elimination that freehopf.linalg.kernel replaced, and
 oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
 the pair products, the route that freehopf.analysis._tensor_remainder
@@ -19,7 +22,8 @@ replaced.
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from freehopf.linalg import Echelon
+from freehopf.hopf import Element
+from freehopf.linalg import Echelon, kernel
 from freehopf.rewrite import AmbiguityRecord, ConfluenceReport, RuleSet
 from freehopf.words import UNIT, storage_key, word_str
 
@@ -436,3 +440,17 @@ def oracle_normal_form_word(rs, w, cache=None):
         cache[u] = {t: c for t, c in acc.items() if c}
         stack.pop()
     return cache[w]
+
+
+def oracle_find_primitives(H, max_len, levels=None):
+    """The primitive search that freehopf.analysis.find_primitives ran
+    before its bi-weight restriction: the kernel of
+    w -> Delta(w) - w (x) 1 - 1 (x) w on every basis word of length <=
+    max_len."""
+    pairs = []
+    for w in H.basis_words(max_len, levels):
+        vec = dict(H.delta_word(w))
+        for pair in ((w, UNIT), (UNIT, w)):
+            vec[pair] = vec.get(pair, 0) - 1
+        pairs.append((w, vec))
+    return [Element(H, c) for c in kernel(H.field, pairs)]

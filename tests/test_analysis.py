@@ -22,8 +22,10 @@ from freehopf import (
     tensor_membership,
     verify_coalgebra_map,
 )
+from freehopf import analysis, rewrite
 from freehopf.analysis import (
     Verdict,
+    _primitive_map,
     _scan_gf2,
     _tensor_remainder,
     enumerate_rref,
@@ -31,9 +33,13 @@ from freehopf.analysis import (
 )
 
 from freehopf.hopf import Tensor
-from freehopf.words import storage_key
+from freehopf.rewrite import _verified_grading, bi_weight
+from freehopf.words import UNIT, storage_key
 
-from oracles import oracle_rank_p, oracle_scan_gf2, oracle_tensor_remainder
+from mutants import (break_grading, break_one, break_one_nat, drop_delta, drop_delta_r1,
+                     make_primitive, patch_map, patch_reduce_once)
+from oracles import (oracle_find_primitives, oracle_rank_p, oracle_scan_gf2,
+                     oracle_tensor_remainder)
 
 H1Q = FreeHopfAlgebra(2, "ord:1", Field.rationals())
 H1F2 = FreeHopfAlgebra(2, "ord:1", Field.prime(2))
@@ -184,17 +190,96 @@ def test_find_primitives_zero_on_grid():
             assert find_primitives(H, 3, window) == []
 
 
-def test_find_primitives_detects_planted_kernel():
-    # sanity: the kernel machinery does report genuine solutions of the
-    # defining equation when fed a map with nontrivial kernel; we verify
-    # the primitive equation directly for every returned combination
-    H = H1F2
-    els = find_primitives(H, 2)
-    for e in els:
-        t = e.coproduct()
-        rhs = H.tensor(e, H.one()) + H.tensor(H.one(), e)
-        assert t == rhs
-    assert els == []  # and indeed there are none here
+# (variant, level window) of the primitive searches, one per domain kind
+PRIMITIVE_WINDOWS = (("free", (0, 2)), ("bij", (-1, 1)), ("ord:1", None), ("ord:2", None))
+
+
+def _spy_primitive_words(monkeypatch):
+    """The word lists find_primitives hands to _primitive_map, one per call."""
+    seen = []
+
+    def spy(H, words):
+        seen.append(list(words))
+        return _primitive_map(H, seen[-1])
+
+    monkeypatch.setattr(analysis, "_primitive_map", spy)
+    return seen
+
+
+def _block00(H, max_len, levels):
+    zero = bi_weight(H.n, UNIT)
+    return [w for w in H.basis_words(max_len, levels) if bi_weight(H.n, w) == zero]
+
+
+@pytest.mark.parametrize("n,max_len", ((2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)))
+@pytest.mark.parametrize("variant,levels", PRIMITIVE_WINDOWS)
+def test_find_primitives_matches_full_kernel_oracle(monkeypatch, n, max_len, variant, levels):
+    seen = _spy_primitive_words(monkeypatch)
+    for tok in ("q", "f2", "f3"):
+        H = FreeHopfAlgebra(n, variant, Field.from_token(tok))
+        assert _verified_grading(H.rules, levels)
+        assert find_primitives(H, max_len, levels) == oracle_find_primitives(H, max_len, levels)
+        assert seen.pop() == _block00(H, max_len, levels)
+
+
+@pytest.mark.parametrize("variant,levels", PRIMITIVE_WINDOWS)
+def test_primitive_map_is_block_diagonal(variant, levels):
+    for n, max_len in ((2, 3), (3, 2)):
+        H = FreeHopfAlgebra(n, variant)
+        weights = {}
+        for w, vec in _primitive_map(H, H.basis_words(max_len, levels)):
+            for key in vec:
+                weights.setdefault(key, set()).add(bi_weight(n, w))
+        assert weights and all(len(ws) == 1 for ws in weights.values())
+
+
+@pytest.mark.parametrize("variant,levels", PRIMITIVE_WINDOWS)
+def test_find_primitives_falls_back_when_the_rules_break_the_grading(
+        monkeypatch, variant, levels):
+    monkeypatch.setattr(rewrite, "_RULESETS", {})
+    patch_reduce_once(monkeypatch, break_grading)
+    seen = _spy_primitive_words(monkeypatch)
+    for tok in ("q", "f2", "f3"):
+        H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
+        assert not _verified_grading(H.rules, levels)
+        assert find_primitives(H, 2, levels) == oracle_find_primitives(H, 2, levels)
+        assert seen.pop() == H.basis_words(2, levels)
+
+
+# (rule edit, variant, level window, max_len): each edit breaks rules that
+# the window's words use
+GRADED_MUTANTS = tuple(
+    (edit, variant, levels, 2) for edit in (drop_delta, drop_delta_r1)
+    for variant, levels in PRIMITIVE_WINDOWS
+) + ((break_one, "ord:2", None, 3), (break_one_nat, "free", (2, 4), 3))
+
+
+@pytest.mark.parametrize("edit,variant,levels,max_len", GRADED_MUTANTS)
+def test_find_primitives_matches_oracle_under_graded_rule_mutants(
+        monkeypatch, edit, variant, levels, max_len):
+    # the rule mutants keep the bi-weight, so the restricted search runs
+    monkeypatch.setattr(rewrite, "_RULESETS", {})
+    patch_reduce_once(monkeypatch, edit)
+    for tok in ("q", "f2", "f3"):
+        H = FreeHopfAlgebra(2, variant, Field.from_token(tok))
+        assert _verified_grading(H.rules, levels)
+        assert find_primitives(H, max_len, levels) == oracle_find_primitives(H, max_len, levels)
+
+
+def test_find_primitives_detects_planted_kernel(monkeypatch):
+    # a coproduct edit makes one word of bi-weight (0,0) primitive and keeps
+    # the grading; the restricted search and the full-kernel oracle both
+    # find it, and it solves the primitive equation
+    target = _block00(H1Q, 2, None)[1]
+    patch_map(monkeypatch, "delta_word", make_primitive(target, H1Q.delta_word(target)))
+    seen = _spy_primitive_words(monkeypatch)
+    for tok in ("q", "f2", "f3"):
+        H = FreeHopfAlgebra(2, "ord:1", Field.from_token(tok))
+        assert _verified_grading(H.rules, None)
+        els = find_primitives(H, 2)
+        assert seen.pop() == _block00(H, 2, None)
+        assert els == oracle_find_primitives(H, 2) == [H.word(target)]
+        assert els[0].coproduct() == H.tensor(els[0], H.one()) + H.tensor(H.one(), els[0])
 
 
 def test_find_grouplikes():

@@ -149,6 +149,7 @@ def test_returned_coefficients_are_plain_values_of_the_field(tok, monkeypatch):
     from freehopf.analysis import (Subspace, find_primitives, irreducible_level_words,
                                    largest_subcoalgebra)
     from freehopf.linalg import kernel
+    from freehopf.rewrite import bi_weight
 
     F = Field.from_token(tok)
     H = FreeHopfAlgebra(2, "ord:1", F)
@@ -167,21 +168,25 @@ def test_returned_coefficients_are_plain_values_of_the_field(tok, monkeypatch):
         _assert_values(F, e.terms.values())
 
     # a map with integer vectors and planted relations, as find_primitives
-    # and kernel see it
+    # and kernel see it; the relations are planted among the words of
+    # bi-weight (0,0), the only ones find_primitives searches
     planted_map = analysis._primitive_map
 
-    def primitive_map(H, max_len, levels=None):
-        pairs = list(planted_map(H, max_len, levels))
+    def primitive_map(H, words):
+        pairs = list(planted_map(H, words))
         (w0, v0), (w1, v1), (w2, _) = pairs[1:4]
         pairs[3] = (w2, {k: v0.get(k, 0) - 2 * v1.get(k, 0) for k in v0.keys() | v1.keys()})
         return iter(pairs)
 
     monkeypatch.setattr(analysis, "_primitive_map", primitive_map)
-    combos = kernel(F, primitive_map(H, 1))
+    H2 = FreeHopfAlgebra(2, "ord:2", F)
+    zero = bi_weight(2, ())
+    block = [w for w in H2.basis_words(2) if bi_weight(2, w) == zero]
+    combos = kernel(F, primitive_map(H2, block))
     assert combos
     for comb in combos:
         _assert_values(F, comb.values())
-    primitives = find_primitives(H, 1)
+    primitives = find_primitives(H2, 2)
     assert primitives
     for e in primitives:
         _assert_values(F, e.terms.values())

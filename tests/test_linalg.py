@@ -225,7 +225,7 @@ def test_kernel_matches_tracked_oracle_on_primitive_maps(variant, tok):
     field = Field.from_token(tok)
     H = FreeHopfAlgebra(2, variant, field)
     window = None if variant.startswith("ord:") else (0, 1)
-    pairs = list(_primitive_map(H, 2, window))  # integer coefficients
+    pairs = list(_primitive_map(H, H.basis_words(2, window)))  # integer coefficients
     rng = random.Random(7)
     pairs = _plant(rng, field, pairs, 3)
     combos = kernel(field, pairs)

@@ -374,10 +374,10 @@ def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, windo
     # letter maps.
     patch_reduce_once(monkeypatch, drop_delta)
     rs = RuleSet(2, dom)
-    inst = rs.rule_instances(window)
+    rhs = rewrite._instance_rhs(rs, rs.rule_instances(window))
     order = CONFLUENCE_PINNED[(2, dom, window)][1]
-    assert len(rewrite._verified_symmetries(rs, inst, window)) == order
-    assert bool(rewrite._verified_shifts(rs, inst, window)) == (dom.kind != "mod")
+    assert len(rewrite._verified_symmetries(rs, rhs, window)) == order
+    assert bool(rewrite._verified_shifts(rs, rhs, window)) == (dom.kind != "mod")
     report = check_confluence(2, dom, window)
     oracle = oracle_check_confluence(2, dom, window)
     assert _fields(report) == _fields(oracle)
@@ -390,9 +390,10 @@ def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
     # drop one term of a single R3 instance; no nontrivial symmetry commutes
     # with that, so every orbit is a single ambiguity
     rs = RuleSet(2, MOD4)
-    assert len(rewrite._verified_symmetries(rs, rs.rule_instances(), None)) == 8
+    inst = rs.rule_instances()
+    assert len(rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), None)) == 8
     patch_reduce_once(monkeypatch, break_one)
-    assert len(rewrite._verified_symmetries(rs, rs.rule_instances(), None)) == 1
+    assert len(rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), None)) == 1
     report = check_confluence(2, MOD4)
     oracle = oracle_check_confluence(2, MOD4)
     assert _fields(report) == _fields(oracle)
@@ -406,15 +407,16 @@ def test_confluence_rejects_translations_a_break_at_one_level_breaks(monkeypatch
     # those of the letter maps alone
     rs = RuleSet(2, NAT)
     inst = rs.rule_instances((0, 6))
-    assert rewrite._verified_shifts(rs, inst, (0, 6)) == tuple(range(-6, 0)) + tuple(range(1, 7))
+    rhs = rewrite._instance_rhs(rs, inst)
+    assert rewrite._verified_shifts(rs, rhs, (0, 6)) == tuple(range(-6, 0)) + tuple(range(1, 7))
     patch_reduce_once(monkeypatch, break_one_nat)
-    assert rewrite._verified_shifts(rs, inst, (0, 6)) == ()
+    assert rewrite._verified_shifts(rs, rewrite._instance_rhs(rs, inst), (0, 6)) == ()
     report = check_confluence(2, NAT, (0, 6))
     oracle = oracle_check_confluence(2, NAT, (0, 6))
     assert _fields(report) == _fields(oracle)
     assert report.unresolved
     _assert_same_report(report, oracle)
-    monkeypatch.setattr(rewrite, "_verified_shifts", lambda rs, inst, levels: ())
+    monkeypatch.setattr(rewrite, "_verified_shifts", lambda rs, rhs, levels: ())
     assert report.checked == check_confluence(2, NAT, (0, 6)).checked
 
 
