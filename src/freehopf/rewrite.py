@@ -466,6 +466,7 @@ def check_confluence(n, dom, levels=None):
     rhs = _instance_rhs(rs, inst)
     group = _verified_symmetries(rs, rhs, levels)
     shifts = _verified_shifts(rs, rhs, levels)
+    del rhs  # freed before _resolve, whose normal forms set the peak memory
     unresolved, checked = _resolve(rs, ambiguities, group, shifts, levels)
     if (len(group) > 1 or shifts) and unresolved:
         group, shifts = group[:1], ()  # the identity alone
