@@ -29,9 +29,10 @@ sweep's on each call; both are projected to each field.
 The maps on elements are linalg.combine over the single-word maps, with
 the field's values in place of integers and its characteristic as the
 modulus; there is one antipode path, antipode_int, whose integer result
-each field reduces to its own values.  _delta_terms and the axiom
-residuals accumulate inline, because they build their keys (word pairs,
-triples) as they go and the residuals keep zeros for the gcd.  Element and
+each field reduces to its own values.  The axiom residuals are combine
+calls too; their gcds ignore the zero entries combine drops, as math.gcd
+ignores zero arguments.  _delta_terms accumulates inline, because it builds
+its keys (word pairs) as it goes and is the hottest loop here.  Element and
 Tensor share their arithmetic, equality and printing through one private
 base class.
 """
@@ -419,43 +420,25 @@ class FreeHopfAlgebra:
 
         residues = []
         for w in words:
-            # each map accumulates lhs - rhs of one axiom; inline, not
-            # combine: the keys are built here and zeros stay for the gcd
-            coassoc = {}
-            cl, cr = {w: -1}, {w: -1}
+            # lhs - rhs of each axiom; gcd ignores the zeros combine drops
+            d = delta(w).items()
+            coassoc = combine(pair for (a, b), k in d for pair in (
+                (k, {(x, y, b): c for (x, y), c in delta(a).items()}),
+                (-k, {(a, x, y): c for (x, y), c in delta(b).items()})))
+            cl = combine([(-1, {w: 1})] + [(k, {b: 1}) for (a, b), k in d if counit(a)])
+            cr = combine([(-1, {w: 1})] + [(k, {a: 1}) for (a, b), k in d if counit(b)])
             eps = counit(w)
-            conv_l, conv_r = {UNIT: -eps}, {UNIT: -eps}
-            anti_co = {}
-            for (a, b), k in delta(w).items():
-                for (x, y), k2 in delta(a).items():
-                    key = (x, y, b)
-                    coassoc[key] = coassoc.get(key, 0) + k * k2
-                for (x, y), k2 in delta(b).items():
-                    key = (a, x, y)
-                    coassoc[key] = coassoc.get(key, 0) - k * k2
-                if counit(a):
-                    cl[b] = cl.get(b, 0) + k
-                if counit(b):
-                    cr[a] = cr.get(a, 0) + k
-                sa, sb = anti(a), anti(b)
-                for t, c in sa.items():
-                    for t2, c2 in nf(t + b).items():
-                        conv_l[t2] = conv_l.get(t2, 0) + k * c * c2
-                for t, c in sb.items():
-                    for t2, c2 in nf(a + t).items():
-                        conv_r[t2] = conv_r.get(t2, 0) + k * c * c2
-                for ta, ca in sa.items():
-                    for tb, cb in sb.items():
-                        key = (tb, ta)
-                        anti_co[key] = anti_co.get(key, 0) - k * ca * cb
-            for t, c in anti(w).items():
-                for pair, k in delta(t).items():
-                    anti_co[pair] = anti_co.get(pair, 0) + c * k
+            conv_l = combine([(-eps, {UNIT: 1})] + [
+                (k * c, nf(t + b)) for (a, b), k in d for t, c in anti(a).items()])
+            conv_r = combine([(-eps, {UNIT: 1})] + [
+                (k * c, nf(a + t)) for (a, b), k in d for t, c in anti(b).items()])
+            anti_co = combine([(c, delta(t)) for t, c in anti(w).items()] + [
+                (-k, {(tb, ta): ca * cb
+                      for ta, ca in anti(a).items() for tb, cb in anti(b).items()})
+                for (a, b), k in d])
             maps = [coassoc, cl, cr, conv_l, conv_r, anti_co]
             if order:
-                periodic = dict(self.antipode_int({w: 1}, order))
-                periodic[w] = periodic.get(w, 0) - 1
-                maps.append(periodic)
+                maps.append(combine(((1, self.antipode_int({w: 1}, order)), (-1, {w: 1}))))
             gcds = tuple(gcd(*m.values()) for m in maps)
             if any(gcds):
                 residues.append((w, gcds))

@@ -6,8 +6,9 @@ nonzero coefficients: ints over Z, and the plain values of fields.Field
 add-and-drop-zeros step: every loop in the package that adds a multiple of
 an existing {key: coeff} dict goes through it, with the characteristic p of
 the data's field (0, the default, for Z and Q; otherwise sums are reduced
-mod p).  Loops that build new keys as they go (delta_word, reduce_once, the
-axiom residuals) stay inline.
+mod p).  The hot loops that build new keys as they go (delta_word,
+reduce_once) stay inline.  A gcd of the coefficients loses nothing when
+combine drops zeros, since math.gcd ignores zero arguments.
 
 Two eliminations live here:
 

@@ -1,18 +1,18 @@
 """Reduction system for the free Hopf algebra on an n x n matrix coalgebra.
 
-Words in the letters x[i,j;r] are rewritten by four rule families.  Writing
-n for the last index value and using ' for a level one step up:
+Words in the letters x[i,j;r] are rewritten by four rule families, two
+shapes in two orientations.  Writing n for the last index value and using '
+for a level one step up:
 
   R1:  x[i,n;r] * x[j,n;r']             ->  d(i,j) - sum_{a<n} x[i,a;r]*x[j,a;r']
-  R2:  x[n,i;r'] * x[n,j;r]             ->  d(i,j) - sum_{a<n} x[a,i;r']*x[a,j;r]
   R3:  x[i,n;r] * x[j,n-1;r'] * x[k,n-1;r'']
            ->  d(j,k)*x[i,n;r] - d(i,j)*x[k,n;r'']
                + sum_{a<n} x[i,a;r]*x[j,a;r']*x[k,n;r'']
                - sum_{a<n-1} x[i,n;r]*x[j,a;r']*x[k,a;r'']
-  R4:  x[n,i;r''] * x[n-1,j;r'] * x[n-1,k;r]
-           ->  d(j,k)*x[n,i;r''] - d(i,j)*x[n,k;r]
-               + sum_{a<n} x[a,i;r'']*x[a,j;r']*x[n,k;r]
-               - sum_{a<n-1} x[n,i;r'']*x[a,j;r']*x[a,k;r]
+
+R2 and R4 are their transposes, x[i,j;.] -> x[j,i;.] in every letter with
+the levels read downwards; R2 is x[n,i;r'] * x[n,j;r] -> d(i,j) - sum_{a<n}
+x[a,i;r']*x[a,j;r].  RuleSet reads all four from one table, _RULES.
 
 All rule coefficients are integers, so a single word's normal form has
 integer coefficients no matter the ground field; normal forms are cached
@@ -38,6 +38,12 @@ from .words import UNIT, LevelDomain, storage_key, word_str
 R1, R2, R3, R4 = 1, 2, 3, 4
 RULE_NAMES = {R1: "R1", R2: "R2", R3: "R3", R4: "R4"}
 
+# rule -> (length of its left-hand side, the letter coordinate of its fixed
+# indices): R1 and R3 fix column indices and climb one level per letter; R2
+# and R4, their transposes, fix row indices and step one level down
+_RULES = {R1: (2, 1), R2: (2, 0), R3: (3, 1), R4: (3, 0)}
+_BY_LENGTH = {2: (R1, R2), 3: (R3, R4)}
+
 _RULESETS = {}
 
 
@@ -59,8 +65,9 @@ _THREE = "R3/R4"
 class _StepTable(dict):
     """The leftmost strategy's rewrites by letter window, for one RuleSet,
     filled on first lookup.  A 2-letter window maps to the ((mid, c), ...)
-    right-hand side of R1 (else R2) on it, to _THREE, or to None; a 3-letter
-    window maps to the right-hand side of R3 (else R4) on it, or to None.
+    right-hand side of R1 (else its transpose R2) on it, to _THREE, or to
+    None; a 3-letter window maps to the right-hand side of R3 (else its
+    transpose R4) on it, or to None.
     Each right-hand side is reduce_once of the window alone, so rewriting
     u = pre + window + post gives pre + mid + post for each (mid, c).
     The table holds its RuleSet weakly, so the two form no reference cycle
@@ -73,6 +80,21 @@ class _StepTable(dict):
     def __missing__(self, window):
         entry = self[window] = self.rules._step_entry(window)
         return entry
+
+
+class _Varied(dict):
+    """letter -> [the letter with its index in coordinate col set to a, for
+    a = 0..n], filled on first lookup: reduce_once reads the letters of a
+    right-hand side off these rows instead of building them per term."""
+
+    def __init__(self, n, col):
+        super().__init__()
+        self.n, self.col = n, col
+
+    def __missing__(self, l):
+        col = self.col
+        row = self[l] = [l[:col] + (a,) + l[col + 1:] for a in range(self.n + 1)]
+        return row
 
 
 class RuleSet:
@@ -88,39 +110,35 @@ class RuleSet:
         self._nf = {}
         self._steps = _StepTable(self)
         self._graded = {}  # level tuple -> do the rules keep the bi-weight
+        self._fixed = {2: (n, n), 3: (n, n - 1, n - 1)}  # fixed indices by shape
+        self._varied = (_Varied(n, 0), _Varied(n, 1))
 
     # -- matching ---------------------------------------------------------
 
     def match_at(self, w, rule, pos):
-        """Does the given rule's left-hand side sit at position pos of w?"""
-        n, up = self.n, self.dom.up
-        if rule == R1:
-            if pos + 2 > len(w):
-                return False
-            a, b = w[pos], w[pos + 1]
-            return a[1] == n and b[1] == n and b[2] == up(a[2])
-        if rule == R2:
-            if pos + 2 > len(w):
-                return False
-            a, b = w[pos], w[pos + 1]
-            return a[0] == n and b[0] == n and a[2] == up(b[2])
-        if rule == R3:
-            if pos + 3 > len(w):
-                return False
-            a, b, c = w[pos], w[pos + 1], w[pos + 2]
-            return (
-                a[1] == n and b[1] == n - 1 and c[1] == n - 1
-                and b[2] == up(a[2]) and c[2] == up(b[2])
-            )
-        if rule == R4:
-            if pos + 3 > len(w):
-                return False
-            a, b, c = w[pos], w[pos + 1], w[pos + 2]
-            return (
-                a[0] == n and b[0] == n - 1 and c[0] == n - 1
-                and b[2] == up(c[2]) and a[2] == up(b[2])
-            )
-        raise ValueError("unknown rule id %r" % (rule,))
+        """Does the given rule's left-hand side sit at position pos of w?
+        R2 and R4 are matched as the transposes of R1 and R3 (see _RULES)."""
+        try:
+            length, col = _RULES[rule]
+        except KeyError:
+            raise ValueError("unknown rule id %r" % (rule,)) from None
+        return pos + length <= len(w) and self._fits(w, pos, length, col, length)
+
+    def _fits(self, w, pos, length, col, count):
+        """Do the count (2 or 3) letters of w from pos fit the first count
+        letters of the left-hand side shape of the given length and
+        orientation col: its fixed indices in coordinate col, and one level
+        up per letter (col 1: R1, R3) or down (col 0: R2, R4)?"""
+        fixed, up = self._fixed[length], self.dom.up
+        a, b = w[pos], w[pos + 1]
+        lo, hi = (a, b) if col else (b, a)
+        if a[col] != fixed[0] or b[col] != fixed[1] or hi[2] != up(lo[2]):
+            return False
+        if count == 2:
+            return True
+        c = w[pos + 2]
+        lo, hi = (b, c) if col else (c, b)
+        return c[col] == fixed[2] and hi[2] == up(lo[2])
 
     def matches(self, w):
         """All (rule, position) pairs matching w, sorted by position then rule."""
@@ -148,7 +166,11 @@ class RuleSet:
                 "%s does not match %s at position %d" % (RULE_NAMES[rule], word_str(w), pos)
             )
         n = self.n
-        pre, post = w[:pos], w[pos + (2 if rule in (R1, R2) else 3):]
+        length, col = _RULES[rule]
+        pre, post = w[:pos], w[pos + length:]
+        # x[l][a]: the letter l with its fixed index set to a; f: the
+        # coordinate of the free indices i, j, k
+        x, f = self._varied[col], 1 - col
         acc = {}
 
         def put(mid, coeff):  # inline, not combine: one key built per call
@@ -159,54 +181,36 @@ class RuleSet:
             else:
                 acc.pop(t, None)
 
-        if rule == R1:
-            (i, _, r1), (j, _, r2) = w[pos], w[pos + 1]
+        if length == 2:
+            l0, l1 = w[pos], w[pos + 1]
+            i, j, x0, x1 = l0[f], l1[f], x[l0], x[l1]
             if i == j:
                 put(UNIT, 1)
             for a in range(1, n):
-                put(((i, a, r1), (j, a, r2)), -1)
-        elif rule == R2:
-            (_, i, r1), (_, j, r2) = w[pos], w[pos + 1]
-            if i == j:
-                put(UNIT, 1)
-            for a in range(1, n):
-                put(((a, i, r1), (a, j, r2)), -1)
-        elif rule == R3:
-            (i, _, r1), (j, _, r2), (k, _, r3) = w[pos], w[pos + 1], w[pos + 2]
+                put((x0[a], x1[a]), -1)
+        else:
+            l0, l1, l2 = w[pos], w[pos + 1], w[pos + 2]
+            i, j, k, x0, x1, x2 = l0[f], l1[f], l2[f], x[l0], x[l1], x[l2]
             if j == k:
-                put(((i, n, r1),), 1)
+                put((x0[n],), 1)
             if i == j:
-                put(((k, n, r3),), -1)
+                put((x2[n],), -1)
             for a in range(1, n):
-                put(((i, a, r1), (j, a, r2), (k, n, r3)), 1)
+                put((x0[a], x1[a], x2[n]), 1)
             for a in range(1, n - 1):
-                put(((i, n, r1), (j, a, r2), (k, a, r3)), -1)
-        else:  # R4
-            (_, i, r1), (_, j, r2), (_, k, r3) = w[pos], w[pos + 1], w[pos + 2]
-            if j == k:
-                put(((n, i, r1),), 1)
-            if i == j:
-                put(((n, k, r3),), -1)
-            for a in range(1, n):
-                put(((a, i, r1), (a, j, r2), (n, k, r3)), 1)
-            for a in range(1, n - 1):
-                put(((n, i, r1), (a, j, r2), (a, k, r3)), -1)
+                put((x0[n], x1[a], x2[a]), -1)
         return acc
 
     # -- the step table ----------------------------------------------------
 
     def _step_entry(self, window):
         """Table entry of a 2- or 3-letter window (see _StepTable)."""
-        pair = len(window) == 2
-        for rule in (R1, R2) if pair else (R3, R4):
+        for rule in _BY_LENGTH[len(window)]:
             if self.match_at(window, rule, 0):
                 return tuple(self.reduce_once(window, rule, 0).items())
-        if pair:
-            n, up = self.n, self.dom.up
-            a, b = window
-            if (a[1] == n and b[1] == n - 1 and b[2] == up(a[2])
-                    or a[0] == n and b[0] == n - 1 and a[2] == up(b[2])):
-                return _THREE
+        if len(window) == 2 and any(self._fits(window, 0, *_RULES[rule], 2)
+                                    for rule in _BY_LENGTH[3]):
+            return _THREE
         return None
 
     def _leftmost_step(self, u):
@@ -333,35 +337,24 @@ class RuleSet:
     # -- rule instances (for the confluence check) --------------------------
 
     def rule_instances(self, levels=None):
-        """Every concrete left-hand side whose levels fit in the window."""
+        """Every concrete left-hand side whose levels fit in the window: per
+        lowest level and shape, the instances by free indices, each followed
+        by its transpose."""
         dom = self.dom
         lvls = dom.levels(levels)
         lset = set(lvls)
-
-        def chain(r, length):
-            # r, r+1, ... as far as the window allows
-            seq = [r]
-            for _ in range(length - 1):
-                s = dom.up(seq[-1])
-                if dom.kind != "mod" and s not in lset:
-                    return None
-                seq.append(s)
-            return seq
-
-        n = self.n
-        rng = range(1, n + 1)
+        rng = range(1, self.n + 1)
         inst = []
         for r in lvls:
-            two = chain(r, 2)
-            if two is not None:
-                for i, j in product(rng, rng):
-                    inst.append((R1, ((i, n, two[0]), (j, n, two[1]))))
-                    inst.append((R2, ((n, i, two[1]), (n, j, two[0]))))
-            three = chain(r, 3)
-            if three is not None:
-                for i, j, k in product(rng, rng, rng):
-                    inst.append((R3, ((i, n, three[0]), (j, n - 1, three[1]), (k, n - 1, three[2]))))
-                    inst.append((R4, ((n, i, three[2]), (n - 1, j, three[1]), (n - 1, k, three[0]))))
+            seq = [r, dom.up(r), dom.up(dom.up(r))]  # r, r+1, r+2
+            for length, rules in _BY_LENGTH.items():
+                if dom.kind != "mod" and seq[length - 1] not in lset:
+                    continue
+                fixed, rising, falling = self._fixed[length], seq[:length], seq[length - 1::-1]
+                for free in product(rng, repeat=length):
+                    for rule in rules:
+                        cols = (free, fixed, rising) if _RULES[rule][1] else (fixed, free, falling)
+                        inst.append((rule, tuple(zip(*cols))))
         return inst
 
 

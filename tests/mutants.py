@@ -5,10 +5,10 @@ A rule edit takes (w, rule, pos, out), where out is the right-hand side the
 real RuleSet.reduce_once gives for w at pos, and returns a broken one;
 patch_reduce_once installs it for one test.  A map edit takes the integer
 map a FreeHopfAlgebra single-word map returns and returns a broken one;
-patch_map installs it for one test.  patch_map clears the shared RuleSets
-first, as the Hopf tests of rule edits do, so every cache keyed by RuleSet
-starts empty under the mutant and the real algebra's entries are never read
-or written.
+patch_map installs it for one test.  Both install fresh shared RuleSets
+first, so every cache keyed by RuleSet (step tables, normal forms, grading
+verdicts, coproducts, certificates) starts empty under the mutant and the
+real algebra's entries are never read or written.
 """
 
 from freehopf import FreeHopfAlgebra, rewrite
@@ -22,6 +22,7 @@ def patch_reduce_once(monkeypatch, edit):
     def broken(self, w, rule, pos):
         return edit(w, rule, pos, original(self, w, rule, pos))
 
+    monkeypatch.setattr(rewrite, "_RULESETS", {})
     monkeypatch.setattr(RuleSet, "reduce_once", broken)
 
 

@@ -12,6 +12,9 @@ the match-and-reduce loop that the step table of
 freehopf.rewrite.RuleSet.normal_form_word replaced, and
 oracle_find_primitives, the kernel on every basis word that the
 bi-weight (0,0) kernel of freehopf.analysis.find_primitives replaced.
+oracle_match_at, oracle_reduce_once, oracle_step_entry and
+oracle_rule_instances write the four rewriting rules out one by one, as the
+package did before it derived R2 and R4 as the transposes of R1 and R3.
 oracle_kernel is the tracked,
 fully reduced elimination that freehopf.linalg.kernel replaced, and
 oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
@@ -24,7 +27,7 @@ from itertools import combinations, product as iproduct
 
 from freehopf.hopf import Element
 from freehopf.linalg import Echelon, kernel
-from freehopf.rewrite import AmbiguityRecord, ConfluenceReport, RuleSet
+from freehopf.rewrite import R1, R2, R3, R4, RULE_NAMES, AmbiguityRecord, ConfluenceReport, RuleSet
 from freehopf.words import UNIT, storage_key, word_str
 
 
@@ -454,3 +457,143 @@ def oracle_find_primitives(H, max_len, levels=None):
             vec[pair] = vec.get(pair, 0) - 1
         pairs.append((w, vec))
     return [Element(H, c) for c in kernel(H.field, pairs)]
+
+
+# -- the four rules, written out one by one ------------------------------------
+#
+# The transcription of R1-R4 that freehopf.rewrite.RuleSet replaced by two
+# shapes in two orientations: each rule's left-hand side and right-hand side
+# by hand, with its own branch.
+
+
+def oracle_match_at(n, dom, w, rule, pos):
+    """Does the given rule's left-hand side sit at position pos of w?"""
+    up = dom.up
+    if rule == R1:
+        if pos + 2 > len(w):
+            return False
+        a, b = w[pos], w[pos + 1]
+        return a[1] == n and b[1] == n and b[2] == up(a[2])
+    if rule == R2:
+        if pos + 2 > len(w):
+            return False
+        a, b = w[pos], w[pos + 1]
+        return a[0] == n and b[0] == n and a[2] == up(b[2])
+    if rule == R3:
+        if pos + 3 > len(w):
+            return False
+        a, b, c = w[pos], w[pos + 1], w[pos + 2]
+        return (
+            a[1] == n and b[1] == n - 1 and c[1] == n - 1
+            and b[2] == up(a[2]) and c[2] == up(b[2])
+        )
+    if rule == R4:
+        if pos + 3 > len(w):
+            return False
+        a, b, c = w[pos], w[pos + 1], w[pos + 2]
+        return (
+            a[0] == n and b[0] == n - 1 and c[0] == n - 1
+            and b[2] == up(c[2]) and a[2] == up(b[2])
+        )
+    raise ValueError("unknown rule id %r" % (rule,))
+
+
+def oracle_reduce_once(n, dom, w, rule, pos):
+    """The matched left-hand side replaced once, as {word: coeff} with its
+    items in the order the terms are first written."""
+    if not oracle_match_at(n, dom, w, rule, pos):
+        raise ValueError(
+            "%s does not match %s at position %d" % (RULE_NAMES[rule], word_str(w), pos)
+        )
+    pre, post = w[:pos], w[pos + (2 if rule in (R1, R2) else 3):]
+    acc = {}
+
+    def put(mid, coeff):
+        t = pre + mid + post
+        c = acc.get(t, 0) + coeff
+        if c:
+            acc[t] = c
+        else:
+            acc.pop(t, None)
+
+    if rule == R1:
+        (i, _, r1), (j, _, r2) = w[pos], w[pos + 1]
+        if i == j:
+            put(UNIT, 1)
+        for a in range(1, n):
+            put(((i, a, r1), (j, a, r2)), -1)
+    elif rule == R2:
+        (_, i, r1), (_, j, r2) = w[pos], w[pos + 1]
+        if i == j:
+            put(UNIT, 1)
+        for a in range(1, n):
+            put(((a, i, r1), (a, j, r2)), -1)
+    elif rule == R3:
+        (i, _, r1), (j, _, r2), (k, _, r3) = w[pos], w[pos + 1], w[pos + 2]
+        if j == k:
+            put(((i, n, r1),), 1)
+        if i == j:
+            put(((k, n, r3),), -1)
+        for a in range(1, n):
+            put(((i, a, r1), (j, a, r2), (k, n, r3)), 1)
+        for a in range(1, n - 1):
+            put(((i, n, r1), (j, a, r2), (k, a, r3)), -1)
+    else:  # R4
+        (_, i, r1), (_, j, r2), (_, k, r3) = w[pos], w[pos + 1], w[pos + 2]
+        if j == k:
+            put(((n, i, r1),), 1)
+        if i == j:
+            put(((n, k, r3),), -1)
+        for a in range(1, n):
+            put(((a, i, r1), (a, j, r2), (n, k, r3)), 1)
+        for a in range(1, n - 1):
+            put(((n, i, r1), (a, j, r2), (a, k, r3)), -1)
+    return acc
+
+
+def oracle_step_entry(n, dom, window):
+    """The step-table entry of a 2- or 3-letter window: the items of the
+    first of R1, R2 (or R3, R4) that matches it, else "R3/R4" for a pair
+    where an R3 or R4 left-hand side may start, else None."""
+    pair = len(window) == 2
+    for rule in (R1, R2) if pair else (R3, R4):
+        if oracle_match_at(n, dom, window, rule, 0):
+            return tuple(oracle_reduce_once(n, dom, window, rule, 0).items())
+    if pair:
+        up = dom.up
+        a, b = window
+        if (a[1] == n and b[1] == n - 1 and b[2] == up(a[2])
+                or a[0] == n and b[0] == n - 1 and a[2] == up(b[2])):
+            return "R3/R4"
+    return None
+
+
+def oracle_rule_instances(n, dom, levels=None):
+    """Every concrete left-hand side whose levels fit in the window."""
+    lvls = dom.levels(levels)
+    lset = set(lvls)
+
+    def chain(r, length):
+        # r, r+1, ... as far as the window allows
+        seq = [r]
+        for _ in range(length - 1):
+            s = dom.up(seq[-1])
+            if dom.kind != "mod" and s not in lset:
+                return None
+            seq.append(s)
+        return seq
+
+    rng = range(1, n + 1)
+    inst = []
+    for r in lvls:
+        two = chain(r, 2)
+        if two is not None:
+            for i, j in iproduct(rng, rng):
+                inst.append((R1, ((i, n, two[0]), (j, n, two[1]))))
+                inst.append((R2, ((n, i, two[1]), (n, j, two[0]))))
+        three = chain(r, 3)
+        if three is not None:
+            for i, j, k in iproduct(rng, rng, rng):
+                inst.append((R3, ((i, n, three[0]), (j, n - 1, three[1]), (k, n - 1, three[2]))))
+                inst.append((R4, ((n, i, three[2]), (n - 1, j, three[1]), (n - 1, k, three[0]))))
+    return inst

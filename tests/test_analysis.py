@@ -22,7 +22,7 @@ from freehopf import (
     tensor_membership,
     verify_coalgebra_map,
 )
-from freehopf import analysis, rewrite
+from freehopf import analysis
 from freehopf.analysis import (
     Verdict,
     _primitive_map,
@@ -236,7 +236,6 @@ def test_primitive_map_is_block_diagonal(variant, levels):
 @pytest.mark.parametrize("variant,levels", PRIMITIVE_WINDOWS)
 def test_find_primitives_falls_back_when_the_rules_break_the_grading(
         monkeypatch, variant, levels):
-    monkeypatch.setattr(rewrite, "_RULESETS", {})
     patch_reduce_once(monkeypatch, break_grading)
     seen = _spy_primitive_words(monkeypatch)
     for tok in ("q", "f2", "f3"):
@@ -258,7 +257,6 @@ GRADED_MUTANTS = tuple(
 def test_find_primitives_matches_oracle_under_graded_rule_mutants(
         monkeypatch, edit, variant, levels, max_len):
     # the rule mutants keep the bi-weight, so the restricted search runs
-    monkeypatch.setattr(rewrite, "_RULESETS", {})
     patch_reduce_once(monkeypatch, edit)
     for tok in ("q", "f2", "f3"):
         H = FreeHopfAlgebra(2, variant, Field.from_token(tok))

@@ -345,7 +345,6 @@ def test_certificate_report_content():
 def test_certificate_fails_on_broken_rules(monkeypatch, edit, variant, levels, counts):
     # a certificate cached before the patch must not be read after it
     assert FreeHopfAlgebra(2, variant).certify_hopf_ideal()["ok"]
-    monkeypatch.setattr(rewrite, "_RULESETS", {})
     patch_reduce_once(monkeypatch, edit)
     for tok in FIELD_TOKENS:
         H = FreeHopfAlgebra(2, variant, Field.from_token(tok))

@@ -11,9 +11,10 @@ from freehopf import rewrite
 from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
 from freehopf.words import LevelDomain, Ordering, compare_words
 
-from mutants import break_one, break_one_nat, drop_delta, patch_reduce_once
-from oracles import (oracle_check_confluence, oracle_irreducible_count, oracle_normal_form_word,
-                     oracle_reducible)
+from mutants import break_grading, break_one, break_one_nat, drop_delta, patch_reduce_once
+from oracles import (oracle_check_confluence, oracle_irreducible_count, oracle_match_at,
+                     oracle_normal_form_word, oracle_reduce_once, oracle_reducible,
+                     oracle_rule_instances, oracle_step_entry)
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()
@@ -54,6 +55,60 @@ def test_reduce_once_frozen_values():
     assert rs.reduce_once(((2, 1, 1), (2, 2, 0)), R2, 0) == {
         ((1, 1, 1), (1, 2, 0)): -1
     }
+
+
+def test_rule_errors():
+    rs = rules_for(2, NAT)
+    w = ((2, 2, 0), (2, 2, 1))  # R1 matches at 0, R2 does not
+    with pytest.raises(ValueError, match=r"^R2 does not match x\[2,2;0\]\*x\[2,2;1\] at position 0$"):
+        rs.reduce_once(w, R2, 0)
+    for rule in (0, 5, "R1", None):
+        for call in (rs.match_at, rs.reduce_once):
+            with pytest.raises(ValueError, match="^unknown rule id"):
+                call(w, rule, 0)
+    # a left-hand side that would run past the end of the word
+    assert not rs.match_at(w, R1, 1) and not rs.match_at(w, R3, 0)
+    assert not rs.match_at(w + ((1, 1, 2),), R3, 1)
+    with pytest.raises(ValueError, match="^R1 does not match .* at position 1$"):
+        rs.reduce_once(w, R1, 1)
+
+
+# (n, domain, window) of the comparison with the one-by-one transcription
+TRANSCRIPTION_CONFIGS = [
+    (n, dom, window) for n in (2, 3, 4)
+    for dom, window in ((NAT, (0, 6)), (INT, (-2, 3)), (MOD2, None), (MOD4, None), (MOD6, None))
+]
+
+
+@pytest.mark.parametrize("n,dom,window", TRANSCRIPTION_CONFIGS)
+def test_rules_match_their_one_by_one_transcription(n, dom, window):
+    # R2 and R4 are derived as the transposes of R1 and R3; the oracle
+    # writes all four out.  Words: every rule instance, its 2-letter
+    # subwords and each 2-letter one with a letter before and after, and
+    # every 2- and 3-letter word over the letters, sampled above 4096.
+    rs = RuleSet(n, dom)
+    inst = rs.rule_instances(window)
+    assert inst == oracle_rule_instances(n, dom, window)
+    letters = rs.alphabet(window)
+    rng = random.Random(n * 1000 + len(letters))
+    words = set()
+    for _, w in inst:
+        extra = (rng.choice(letters),)
+        words.update((w, w[:2], w[-2:], extra + w, w + extra))
+    for k in (2, 3):
+        if len(letters) ** k <= 4096:
+            words.update(iproduct(letters, repeat=k))
+        else:
+            words.update(tuple(rng.choice(letters) for _ in range(k)) for _ in range(2000))
+    for w in sorted(words):
+        if len(w) <= 3:
+            assert rs._steps[w] == oracle_step_entry(n, dom, w), w
+        for rule, pos in iproduct((R1, R2, R3, R4), range(len(w))):
+            match = rs.match_at(w, rule, pos)
+            assert match == oracle_match_at(n, dom, w, rule, pos), (w, rule, pos)
+            if match:
+                assert (list(rs.reduce_once(w, rule, pos).items())
+                        == list(oracle_reduce_once(n, dom, w, rule, pos).items())), (w, rule, pos)
 
 
 def test_reduce_once_delta_collision_mod2():
@@ -431,3 +486,11 @@ def test_confluence_report_shape(monkeypatch):
     d = rec.describe()
     assert set(d) == {"word", "match_a", "match_b", "nf_a", "nf_b"}
     assert d["nf_a"] != d["nf_b"]
+
+
+def test_patched_rules_get_fresh_rule_sets(monkeypatch):
+    # a RuleSet built before the patch keeps the real rules' verdicts, so
+    # the patch must hand out fresh ones
+    assert rewrite._verified_grading(rules_for(2, NAT), (0, 2))
+    patch_reduce_once(monkeypatch, break_grading)
+    assert not rewrite._verified_grading(rules_for(2, NAT), (0, 2))
