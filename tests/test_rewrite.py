@@ -60,15 +60,18 @@ def test_reduce_once_frozen_values():
 def test_rule_errors():
     rs = rules_for(2, NAT)
     w = ((2, 2, 0), (2, 2, 1))  # R1 matches at 0, R2 does not
-    with pytest.raises(ValueError, match=r"^R2 does not match x\[2,2;0\]\*x\[2,2;1\] at position 0$"):
+    message = r"^R2 does not match x\[2,2;0\]\*x\[2,2;1\] at position 0$"
+    with pytest.raises(ValueError, match=message):
         rs.reduce_once(w, R2, 0)
     for rule in (0, 5, "R1", None):
         for call in (rs.match_at, rs.reduce_once):
             with pytest.raises(ValueError, match="^unknown rule id"):
                 call(w, rule, 0)
-    # a left-hand side that would run past the end of the word
-    assert not rs.match_at(w, R1, 1) and not rs.match_at(w, R3, 0)
-    assert not rs.match_at(w + ((1, 1, 2),), R3, 1)
+    # a left-hand side that would run past the end of the word: R1 from the
+    # last letter, R3 on the first two letters of an R3 left-hand side
+    assert not rs.match_at(w, R1, 1)
+    prefix = ((1, 2, 0), (2, 1, 1))
+    assert rs.match_at(prefix + ((1, 1, 2),), R3, 0) and not rs.match_at(prefix, R3, 0)
     with pytest.raises(ValueError, match="^R1 does not match .* at position 1$"):
         rs.reduce_once(w, R1, 1)
 
@@ -83,9 +86,9 @@ TRANSCRIPTION_CONFIGS = [
 @pytest.mark.parametrize("n,dom,window", TRANSCRIPTION_CONFIGS)
 def test_rules_match_their_one_by_one_transcription(n, dom, window):
     # R2 and R4 are derived as the transposes of R1 and R3; the oracle
-    # writes all four out.  Words: every rule instance, its 2-letter
-    # subwords and each 2-letter one with a letter before and after, and
-    # every 2- and 3-letter word over the letters, sampled above 4096.
+    # writes all four out.  Words: every rule instance, its first and last
+    # two letters, it with a letter before and with one after, and every
+    # 2- and 3-letter word over the letters, sampled above 25000.
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(window)
     assert inst == oracle_rule_instances(n, dom, window)
@@ -96,7 +99,7 @@ def test_rules_match_their_one_by_one_transcription(n, dom, window):
         extra = (rng.choice(letters),)
         words.update((w, w[:2], w[-2:], extra + w, w + extra))
     for k in (2, 3):
-        if len(letters) ** k <= 4096:
+        if len(letters) ** k <= 25000:
             words.update(iproduct(letters, repeat=k))
         else:
             words.update(tuple(rng.choice(letters) for _ in range(k)) for _ in range(2000))
