@@ -122,7 +122,7 @@ class RuleSet:
             length, col = _RULES[rule]
         except KeyError:
             raise ValueError("unknown rule id %r" % (rule,)) from None
-        return pos + length <= len(w) and self._fits(w, pos, length, col, length)
+        return 0 <= pos <= len(w) - length and self._fits(w, pos, length, col, length)
 
     def _fits(self, w, pos, length, col, count):
         """Do the count (2 or 3) letters of w from pos fit the first count
@@ -419,28 +419,23 @@ def check_confluence(n, dom, levels=None):
     translation, so such a window exhibits every ambiguity shape.  Modular
     domains ignore the window, and their report records none.
 
-    Ambiguities are looked up in an index of the rule instances by whole
-    left-hand side (inclusions) and by proper prefix (overlaps).  Normal
-    forms are computed for one ambiguity per orbit of a group of letter
-    maps and, on a nat/int window, of the level translations; the rest of
-    the orbit is only marked as covered.  The report counts every
-    ambiguity and keeps a record of each unresolved one.  The candidate
-    letter maps are the permutations of the indices 1..n-2,
+    The candidate letter maps are the permutations of the indices 1..n-2,
     the flip x[i,j;r] -> x[j,i;c-r] (c = lo+hi on a window, 0 mod m; it
     swaps R1 with R2 and R3 with R4 and keeps match positions), the mod
-    level rotations r -> r+1, and their products; only those that map the
-    rule instances onto themselves and commute with reduce_once on every
-    instance are kept, and they form a subgroup.  On a nat/int window the
-    translations r -> r+t are used only if the unit shifts r -> r+1 and
-    r -> r-1 map every instance whose image stays in the window to an
-    instance and commute with reduce_once on it (see _verified_shifts);
-    rules broken at a single level fail that.  Such a map carries a
-    resolution of one ambiguity to a resolution of its image, so if every
-    representative resolves, so does every ambiguity, and the rules are
-    confluent on the window by Bergman's diamond lemma.  If some
-    representative is unresolved, the check is repeated with the trivial
-    group and no translations, so the report lists every unresolved
-    ambiguity as a full check does.
+    level rotations r -> r+1, and their products; those that map the rule
+    instances onto themselves and commute with reduce_once on every
+    instance form a subgroup (_verified_symmetries).  On a nat/int window
+    the translations r -> r+t join them if the unit shifts pass the same
+    test where their images stay in the window (_verified_shifts).  Such a
+    map carries a resolution of an ambiguity to one of its image.
+    Ambiguities are streamed from one rule instance per letter-map orbit
+    (_ambiguities); the first streamed member of each orbit of the maps is
+    checked and the rest marked as covered (_resolve).  So `total` counts
+    every ambiguity, and `checked` the orbits, whichever members were
+    streamed.  If every checked ambiguity resolves, so does every one, and
+    the rules are confluent on the window by Bergman's diamond lemma.  If
+    not, the check is repeated with the trivial group and no translations,
+    so every unresolved ambiguity is listed.
 
     Normal forms are cached on a private RuleSet that is dropped with the
     check; the shared rules_for cache is left as it was.
@@ -455,49 +450,50 @@ def check_confluence(n, dom, levels=None):
         levels = tuple(levels)
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(levels)
-    ambiguities = _ambiguities(inst)
     rhs = _instance_rhs(rs, inst)
     group = _verified_symmetries(rs, rhs, levels)
     shifts = _verified_shifts(rs, rhs, levels)
     del rhs  # freed before _resolve, whose normal forms set the peak memory
-    unresolved, checked = _resolve(rs, ambiguities, group, shifts, levels)
+    unresolved, checked, covered = _resolve(rs, inst, group, shifts, levels)
     if (len(group) > 1 or shifts) and unresolved:
         group, shifts = group[:1], ()  # the identity alone
-        unresolved, checked = _resolve(rs, ambiguities, group, shifts, levels)
-    return ConfluenceReport(n, dom, levels, len(ambiguities), unresolved, checked, len(group))
+        unresolved, checked, covered = _resolve(rs, inst, group, shifts, levels)
+    return ConfluenceReport(n, dom, levels, len(covered), unresolved, checked, len(group))
 
 
-def _ambiguities(inst):
-    """Every ambiguity (word, match_a, match_b) of the rule instances, in
-    report order: storage order of the word, then the matches.
+def _representatives(inst, group):
+    """The first rule instance of each orbit of the letter maps in group,
+    in instance order: the images of each one are marked as it is met."""
+    marked = set()
+    for ra, wa in inst:
+        if (ra, wa) not in marked:
+            marked.update((rules[ra], _image(table, wa)) for table, rules in group)
+            yield ra, wa
 
-    One pair of matches is found from both of its instances only when both
-    sit at position 0 of one word; match_a is then the earlier instance,
-    as in a scan of all ordered pairs of instances.
-    """
+
+def _ambiguities(inst, firsts):
+    """Stream the ambiguities (word, match_a, match_b) of the rule instances
+    whose match_a, at position 0, is one of firsts, in their order; one
+    comes twice if both its instances sit at position 0.  A letter map that
+    permutes the instances and keeps positions maps the index below onto
+    itself, so it maps the ambiguities streamed from an instance onto those
+    from the instance's image: streaming from one instance per orbit of
+    such maps meets every orbit of ambiguities."""
     by_lhs, by_prefix = {}, {}
     for rule, w in inst:
         by_lhs.setdefault(w, []).append(rule)
         for k in range(1, len(w)):
             by_prefix.setdefault(w[:k], []).append((rule, w))
-    seen = set()
-    out = []
-    for ra, wa in inst:
+    for ra, wa in firsts:
         la = len(wa)
         for s in range(la):
             # a whole left-hand side inside wa at s
-            hits = [(rb, wa) for e in range(s + 1, la + 1)
-                    for rb in by_lhs.get(wa[s:e], ()) if (rb, s) != (ra, 0)]
+            yield from ((wa, (ra, 0), (rb, s)) for e in range(s + 1, la + 1)
+                        for rb in by_lhs.get(wa[s:e], ()) if (rb, s) != (ra, 0))
             # a proper overlap: the suffix of wa from s starts a longer one
             if s:
-                hits += [(rb, wa + wb[la - s:]) for rb, wb in by_prefix.get(wa[s:], ())]
-            for rb, word in hits:
-                key = _key(word, (ra, 0), (rb, s))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((word, (ra, 0), (rb, s)))
-    out.sort(key=lambda a: (storage_key(a[0]), a[1], a[2]))
-    return out
+                for rb, wb in by_prefix.get(wa[s:], ()):
+                    yield wa + wb[la - s:], (ra, 0), (rb, s)
 
 
 _SAME_RULE = {R1: R1, R2: R2, R3: R3, R4: R4}
@@ -514,7 +510,8 @@ def _image_terms(table, terms):
 
 
 def _candidate_symmetries(rs, levels):
-    """(letter table, rule map) of each candidate symmetry, identity first."""
+    """(letter table, rule map) of each candidate symmetry, identity first,
+    and the positions of the group's generators (_verified_symmetries)."""
     n, dom, wrap = rs.n, rs.dom, rs.dom.canon
     if dom.kind == "mod":
         shifts, centre = range(dom.modulus), 0
@@ -522,15 +519,18 @@ def _candidate_symmetries(rs, levels):
         lvls = dom.levels(levels)
         shifts, centre = (0,), lvls[0] + lvls[-1]
     letters = rs.alphabet(levels)
-    out = []
-    for perm in permutations(range(1, n - 1)):
+    ident = tuple(range(1, n - 1))
+    out, gens = [], [1, 2][:len(shifts)]  # the flip at 1, the rotation at 2
+    for perm in permutations(ident):
+        if perm != ident and perm in (ident[1::-1] + ident[2:], ident[1:] + ident[:1]):
+            gens.append(len(out))
         p = (0,) + perm + (n - 1, n)
         for t in shifts:
             out.append(({(i, j, r): (p[i], p[j], wrap(r + t)) for i, j, r in letters},
                         _SAME_RULE))
             out.append(({(i, j, r): (p[j], p[i], wrap(centre + t - r)) for i, j, r in letters},
                         _FLIP_RULE))
-    return out
+    return out, gens
 
 
 def _instance_rhs(rs, inst):
@@ -541,12 +541,19 @@ def _instance_rhs(rs, inst):
 def _verified_symmetries(rs, rhs, levels):
     """The candidates that map every rule instance to a rule instance and
     commute with reduce_once on it (rhs is _instance_rhs of the
-    instances), identity first."""
-    return [
-        (table, rules) for table, rules in _candidate_symmetries(rs, levels)
-        if all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
-               for (rule, w), out in rhs.items())
-    ]
+    instances), identity first.  The candidates are the group generated by
+    a transposition and an (n-2)-cycle of the indices 1..n-2, the flip and,
+    mod m, the rotation r -> r+1, and products of such maps are such maps:
+    if the generators pass, every candidate does.  Else each is tested."""
+    candidates, gens = _candidate_symmetries(rs, levels)
+
+    def commutes(table, rules):
+        return all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
+                   for (rule, w), out in rhs.items())
+
+    if all(commutes(*candidates[i]) for i in gens):
+        return candidates
+    return [c for c in candidates if commutes(*c)]
 
 
 def _shift_table(rs, levels, t):
@@ -612,16 +619,18 @@ def _key(word, ma, mb):
     return (word,) + tuple(sorted((ma, mb)))
 
 
-def _resolve(rs, ambiguities, group, shifts, levels):
-    """Records of the ambiguities that do not resolve, and the number whose
-    normal forms were computed: the first ambiguity of each orbit, whose
-    images under the group, and the translates by shifts of those images
-    that stay in the window, are then marked as covered."""
+def _resolve(rs, inst, group, shifts, levels):
+    """(Records of the unresolved ambiguities in report order, the number
+    checked, the keys covered.)  Each ambiguity streamed from the group's
+    representatives that is not yet covered is checked, and its images
+    under group, and their translates by shifts that stay in the window,
+    are covered.  These are ambiguities, and the stream meets every orbit,
+    so covered ends as the set of all of them."""
     translations = [_shift_table(rs, levels, t) for t in shifts]
     covered = set()
     unresolved = []
     checked = 0
-    for word, ma, mb in ambiguities:
+    for word, ma, mb in _ambiguities(inst, _representatives(inst, group)):
         if _key(word, ma, mb) in covered:
             continue
         checked += 1
@@ -636,4 +645,5 @@ def _resolve(rs, ambiguities, group, shifts, levels):
             for shift in translations:
                 if all(l in shift for l in image):
                     covered.add(_key(_image(shift, image), a, b))
-    return unresolved, checked
+    unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
+    return unresolved, checked, covered

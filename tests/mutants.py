@@ -114,3 +114,21 @@ def make_primitive(w, delta):
     def edit(terms):
         return {(w, UNIT): 1, (UNIT, w): 1} if terms == delta else terms
     return edit
+
+
+def double_selected(select):
+    """A rule edit: twice the right-hand side of each R1 and R2 instance
+    for which select(i, j, r) holds, with i and j its free indices and r
+    the level of its first letter."""
+    def edit(w, rule, pos, out):
+        f = 0 if rule == R1 else 1
+        if rule in (R1, R2) and select(w[pos][f], w[pos + 1][f], w[pos][2]):
+            return double(out)
+        return out
+    return edit
+
+
+# The flip (which maps x[1,n;r] to x[n,1;c-r]) and the level rotations keep
+# the R1 and R2 instances whose first free index is 1; at n = 4 the
+# transposition of the indices 1 and 2 does not.
+double_first_index_1 = double_selected(lambda i, j, r: i == 1)

@@ -15,6 +15,11 @@ bi-weight (0,0) kernel of freehopf.analysis.find_primitives replaced.
 oracle_match_at, oracle_reduce_once, oracle_step_entry and
 oracle_rule_instances write the four rewriting rules out one by one, as the
 package did before it derived R2 and R4 as the transposes of R1 and R3.
+oracle_ambiguities, the deduplicated and sorted list of every ambiguity,
+and oracle_verified_symmetries, which tests every candidate letter map,
+are the ambiguity enumeration and symmetry filter that
+freehopf.rewrite.check_confluence ran before it streamed the ambiguities
+of orbit representatives and tested only the generators of its group.
 oracle_kernel is the tracked,
 fully reduced elimination that freehopf.linalg.kernel replaced, and
 oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
@@ -27,7 +32,8 @@ from itertools import combinations, product as iproduct
 
 from freehopf.hopf import Element
 from freehopf.linalg import Echelon, kernel
-from freehopf.rewrite import R1, R2, R3, R4, RULE_NAMES, AmbiguityRecord, ConfluenceReport, RuleSet
+from freehopf.rewrite import (R1, R2, R3, R4, RULE_NAMES, AmbiguityRecord, ConfluenceReport, RuleSet,
+                              _candidate_symmetries, _image, _image_terms, _key)
 from freehopf.words import UNIT, storage_key, word_str
 
 
@@ -597,3 +603,48 @@ def oracle_rule_instances(n, dom, levels=None):
                 inst.append((R3, ((i, n, three[0]), (j, n - 1, three[1]), (k, n - 1, three[2]))))
                 inst.append((R4, ((n, i, three[2]), (n - 1, j, three[1]), (n - 1, k, three[0]))))
     return inst
+
+
+def oracle_ambiguities(inst):
+    """Every ambiguity (word, match_a, match_b) of the rule instances, once,
+    in report order: storage order of the word, then the matches.
+
+    One pair of matches is found from both of its instances only when both
+    sit at position 0 of one word; match_a is then the earlier instance,
+    as in a scan of all ordered pairs of instances.
+    """
+    by_lhs, by_prefix = {}, {}
+    for rule, w in inst:
+        by_lhs.setdefault(w, []).append(rule)
+        for k in range(1, len(w)):
+            by_prefix.setdefault(w[:k], []).append((rule, w))
+    seen = set()
+    out = []
+    for ra, wa in inst:
+        la = len(wa)
+        for s in range(la):
+            # a whole left-hand side inside wa at s
+            hits = [(rb, wa) for e in range(s + 1, la + 1)
+                    for rb in by_lhs.get(wa[s:e], ()) if (rb, s) != (ra, 0)]
+            # a proper overlap: the suffix of wa from s starts a longer one
+            if s:
+                hits += [(rb, wa + wb[la - s:]) for rb, wb in by_prefix.get(wa[s:], ())]
+            for rb, word in hits:
+                key = _key(word, (ra, 0), (rb, s))
+                if key not in seen:
+                    seen.add(key)
+                    out.append((word, (ra, 0), (rb, s)))
+    out.sort(key=lambda a: (storage_key(a[0]), a[1], a[2]))
+    return out
+
+
+def oracle_verified_symmetries(rs, rhs, levels):
+    """Every candidate letter map of freehopf.rewrite._candidate_symmetries
+    that maps every rule instance to a rule instance and commutes with
+    reduce_once on it (rhs is _instance_rhs of the instances), tested one
+    by one, identity first."""
+    return [
+        (table, rules) for table, rules in _candidate_symmetries(rs, levels)[0]
+        if all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
+               for (rule, w), out in rhs.items())
+    ]

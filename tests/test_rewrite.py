@@ -11,10 +11,12 @@ from freehopf import rewrite
 from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
 from freehopf.words import LevelDomain, Ordering, compare_words
 
-from mutants import break_grading, break_one, break_one_nat, drop_delta, patch_reduce_once
-from oracles import (oracle_check_confluence, oracle_irreducible_count, oracle_match_at,
-                     oracle_normal_form_word, oracle_reduce_once, oracle_reducible,
-                     oracle_rule_instances, oracle_step_entry)
+from mutants import (break_grading, break_one, break_one_nat, double_first_index_1,
+                     double_selected, drop_delta, drop_delta_r1, patch_reduce_once)
+from oracles import (oracle_ambiguities, oracle_check_confluence, oracle_irreducible_count,
+                     oracle_match_at, oracle_normal_form_word, oracle_reduce_once,
+                     oracle_reducible, oracle_rule_instances, oracle_step_entry,
+                     oracle_verified_symmetries)
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()
@@ -74,6 +76,18 @@ def test_rule_errors():
     assert rs.match_at(prefix + ((1, 1, 2),), R3, 0) and not rs.match_at(prefix, R3, 0)
     with pytest.raises(ValueError, match="^R1 does not match .* at position 1$"):
         rs.reduce_once(w, R1, 1)
+
+
+def test_negative_positions_do_not_match():
+    # R1 does match the last letter followed by the first one, but a
+    # negative position is not a position of the word
+    rs = RuleSet(2, NAT)
+    w = ((2, 2, 1), (2, 2, 0))
+    assert rs.match_at(w[::-1], R1, 0)
+    for rule, pos in iproduct((R1, R2, R3, R4), (-1, -2, -3)):
+        assert not rs.match_at(w, rule, pos)
+    with pytest.raises(ValueError, match=r"^R1 does not match .* at position -1$"):
+        rs.reduce_once(w, R1, -1)
 
 
 # (n, domain, window) of the comparison with the one-by-one transcription
@@ -262,7 +276,7 @@ def test_step_table_on_the_longest_ambiguity_words():
     # reductions
     rs = RuleSet(3, MOD2)
     cache = {}
-    words = [a for a in rewrite._ambiguities(rs.rule_instances()) if len(a[0]) == 5]
+    words = [a for a in oracle_ambiguities(rs.rule_instances()) if len(a[0]) == 5]
     assert words
     for word, ma, mb in words:
         assert rs.normal_form_word(word) == oracle_normal_form_word(rs, word, cache)
@@ -405,6 +419,40 @@ def test_confluence_matches_full_check_oracle(n, dom, window):
     assert report.describe()["work"] == {"checked": report.checked, "symmetries": order}
 
 
+@pytest.mark.parametrize("n,dom,window", list(CONFLUENCE_PINNED))
+def test_streamed_ambiguities_and_generator_check_match_the_oracles(n, dom, window):
+    # streamed from every instance, the ambiguities are the oracle's list,
+    # some twice; the generator check gives the filter's group, in order
+    rs = RuleSet(n, dom)
+    inst = rs.rule_instances(window)
+    streamed = [rewrite._key(*a) for a in rewrite._ambiguities(inst, inst)]
+    expected = {rewrite._key(*a) for a in oracle_ambiguities(inst)}
+    assert set(streamed) == expected and len(expected) == CONFLUENCE_PINNED[(n, dom, window)][0]
+    rhs = rewrite._instance_rhs(rs, inst)
+    assert rewrite._verified_symmetries(rs, rhs, window) == oracle_verified_symmetries(rs, rhs, window)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dom,window", [(NAT, (0, 6)), (INT, (-2, 3)), (MOD2, None), (MOD4, None)])
+def test_representatives_meet_every_orbit(n, dom, window):
+    rs = RuleSet(n, dom)
+    inst = rs.rule_instances(window)
+    rhs = rewrite._instance_rhs(rs, inst)
+    group = rewrite._verified_symmetries(rs, rhs, window)
+    shifts = rewrite._verified_shifts(rs, rhs, window)
+    assert len(group) > 1
+    # one instance kept per letter-map orbit of the instances, the first
+    reps = list(rewrite._representatives(inst, group))
+    orbits = {frozenset((rules[rule], rewrite._image(table, w)) for table, rules in group)
+              for rule, w in inst}
+    order = {a: k for k, a in enumerate(inst)}
+    assert len(orbits) < len(inst)
+    assert reps == sorted((min(orbit, key=order.get) for orbit in orbits), key=order.get)
+    _, checked, covered = rewrite._resolve(rs, inst, group, shifts, window)
+    assert covered == {rewrite._key(*a) for a in oracle_ambiguities(inst)}
+    assert checked == CONFLUENCE_PINNED[(n, dom, window)][2]
+
+
 def test_confluence_leaves_shared_cache_alone():
     rs = rules_for(3, MOD2)
     rs.normal_form_word(((3, 3, 0), (3, 3, 1)))
@@ -457,6 +505,41 @@ def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
     assert _fields(report) == _fields(oracle)
     assert report.unresolved
     _assert_same_report(report, oracle)
+
+
+def test_confluence_when_a_generator_fails(monkeypatch):
+    # double the R1 and R2 right-hand sides whose first free index is 1: the
+    # flip and the rotations still commute with the rules, the index
+    # transposition does not, so the generator check fails and every
+    # candidate is tested, leaving a proper subgroup
+    patch_reduce_once(monkeypatch, double_first_index_1)
+    rs = RuleSet(4, MOD4)
+    rhs = rewrite._instance_rhs(rs, rs.rule_instances())
+    group = rewrite._verified_symmetries(rs, rhs, None)
+    assert group == oracle_verified_symmetries(rs, rhs, None)
+    assert len(group) == 8
+    report = check_confluence(4, MOD4)
+    oracle = oracle_check_confluence(4, MOD4)
+    assert report.unresolved
+    _assert_same_report(report, oracle)
+
+
+@pytest.mark.parametrize("edit,n,dom,order", [
+    (drop_delta_r1, 2, MOD4, 4),  # the flip fails
+    (double_selected(lambda i, j, r: r == 0), 2, MOD4, 2),  # the rotation fails
+    (double_first_index_1, 4, MOD2, 4),  # the transposition (1 2) fails
+    (double_selected(lambda i, j, r: i == 3), 5, MOD2, 8),  # the cycle (1 2 3) fails
+    # (1 2) fails, the cycle (1 2 3) passes
+    (double_selected(lambda i, j, r: i <= 3 and j <= 3 and (j - i) % 3 == 1), 5, MOD2, 12),
+    (break_one, 2, MOD4, 1),
+])
+def test_generator_check_matches_the_filter_on_broken_rules(monkeypatch, edit, n, dom, order):
+    patch_reduce_once(monkeypatch, edit)
+    rs = RuleSet(n, dom)
+    rhs = rewrite._instance_rhs(rs, rs.rule_instances())
+    group = rewrite._verified_symmetries(rs, rhs, None)
+    assert group == oracle_verified_symmetries(rs, rhs, None)
+    assert len(group) == order
 
 
 def test_confluence_rejects_translations_a_break_at_one_level_breaks(monkeypatch):
