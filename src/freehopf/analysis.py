@@ -6,7 +6,9 @@ subcoalgebra verdicts with witnesses, the largest subcoalgebra inside a
 subspace, primitive and grouplike searches, and a scanner that either
 checks the alternating candidate span or finds every k-dimensional
 subcoalgebra of a small ambient space over a prime field by enumerating
-the k-dimensional subspaces of the ambient's largest subcoalgebra.
+the k-dimensional subspaces of the ambient's largest subcoalgebra.  That
+search, _subcoalgebras, also finds the grouplikes: U is a subcoalgebra iff
+Delta(U) lies in U (x) C and C (x) U, whose meet is U (x) U (Sweedler).
 
 The primitive search solves its kernel on the basis words of bi-weight
 (0,0) only (x[i,j;r] has row weight s*e_i and column weight s*e_j, with
@@ -17,7 +19,9 @@ check fails, it solves on every basis word.
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import combinations, product as iproduct
+from operator import mul
 
 from .hopf import Element, FreeHopfAlgebra, Tensor
 from .linalg import Echelon, combine, kernel
@@ -260,13 +264,16 @@ def find_primitives(H, max_len, levels=None):
     return [Element(H, c) for c in kernel(H.field, _primitive_map(H, words))]
 
 
-def find_grouplikes(V, bound=2 ** 24):
+def find_grouplikes(V):
     """All grouplike elements (eps x = 1, Delta x = x (x) x) inside the
-    subspace V, by direct enumeration over a prime field.  The span of the
-    unit is handled over any field; other rational searches are refused."""
+    subspace V over a prime field, sorted by coordinates on V's basis: the
+    subcoalgebras k x of V's largest subcoalgebra, scaled to counit 1.  A
+    grouplike spans one, and if k x is one, then Delta x = l x (x) x and
+    x = (eps (x) id) Delta x = l eps(x) x, so x / eps(x) is grouplike.  The
+    unit's span is handled over any field; other rational searches, and
+    spaces of more than GROUPLIKE_BOUND vectors, are refused."""
     H = V.algebra
-    basis = V.basis()
-    if V.dim == 1 and basis[0] == H.one():
+    if V == Subspace(H, [H.one()]):
         return [H.one()]
     p = H.field.characteristic
     if not p:
@@ -275,23 +282,13 @@ def find_grouplikes(V, bound=2 ** 24):
             "for the span of the unit"
         )
     count = p ** V.dim
-    if count > bound:
-        raise ValueError(
-            "search space of size %d exceeds the bound %d" % (count, bound)
-        )
-    out = []
-    for coeffs in iproduct(range(p), repeat=V.dim):
-        if not any(coeffs):
-            continue
-        x = H.zero()
-        for c, b in zip(coeffs, basis):
-            if c:
-                x = x + c * b
-        if x.counit() != H.field.one:
-            continue
-        if x.coproduct() == H.tensor(x, x):
-            out.append(x)
-    return out
+    if count > GROUPLIKE_BOUND:
+        raise ValueError("search space of size %d exceeds the bound %d"
+                         % (count, GROUPLIKE_BOUND))
+    C = largest_subcoalgebra(V)
+    lines = [_element(C, row) for (row,) in _subcoalgebras(C, 1)]
+    return sorted((H.field.inv(x.counit()) * x for x in lines),
+                  key=lambda g: [g.terms.get(w, 0) for w in V._ech.pivots()])
 
 
 # -- subspace enumeration ------------------------------------------------------
@@ -330,12 +327,47 @@ def _rref_pools(p, m, k):
         yield pivots, pools
 
 
-def enumerate_rref(p, m, k):
-    """Yield every k x m reduced row-echelon basis over GF(p) as a list of
-    row tuples; pivots are leftmost, rows ordered by pivot."""
-    for _, pools in _rref_pools(p, m, k):
-        for rows in iproduct(*pools):
-            yield list(rows)
+def _element(C, row):
+    """The element of C with coordinates row on C's basis."""
+    return sum((v * b for v, b in zip(row, C.basis()) if v), C.algebra.zero())
+
+
+def _subcoalgebras(C, k):
+    """Coordinate rows on C's basis of the reduced echelon basis of each
+    k-dimensional subcoalgebra U of the subcoalgebra C over GF(p), in
+    _rref_pools order.  As c_a is 1 at its pivot word p_a and 0 at the other
+    pivots, the coefficient of c_a (x) c_b in Delta(c_t) is that of Delta(c_t)
+    at (p_a, p_b): the matrix M(u) of Delta(u), u in C.  U is a subcoalgebra
+    iff, for each basis row u, every row (Delta(u) in C (x) U) and column
+    (in U (x) C) of M(u) lies in U, i.e. equals the combination of U's rows
+    with its own pivot entries as coefficients.  M(u)'s distinct nonzero
+    rows and columns depend on u alone, so are computed once per u."""
+    p = C.algebra.field.characteristic
+    m = C.dim
+    index = {w: a for a, w in enumerate(C._ech.pivots())}
+    consts = [{(index[x], index[y]): c for (x, y), c in b.coproduct().terms.items()
+               if x in index and y in index} for b in C.basis()]
+
+    @cache
+    def lines(u):
+        rows, cols = {}, {}
+        for (a, b), c in combine(zip(u, consts), p=p).items():
+            rows.setdefault(a, [0] * m)[b] = c
+            cols.setdefault(b, [0] * m)[a] = c
+        return list(dict.fromkeys(map(tuple, (*rows.values(), *cols.values()))))
+
+    def accepts(pivots, rows):
+        for u in rows:
+            for v in lines(u):
+                cs = [v[a] for a in pivots]
+                # one coefficient 1, the common case, needs no arithmetic
+                if v != (rows[cs.index(1)] if sum(cs) == 1 else
+                         tuple(sum(map(mul, cs, col)) % p for col in zip(*rows))):
+                    return False
+        return True
+
+    return [rows for pivots, pools in _rref_pools(p, m, k) for rows in iproduct(*pools)
+            if accepts(pivots, rows)]
 
 
 # -- the scan -------------------------------------------------------------------
@@ -371,6 +403,7 @@ class ScanReport:
 
 
 EXHAUSTIVE_BOUND = 10 ** 7
+GROUPLIKE_BOUND = 2 ** 24
 
 
 def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
@@ -417,26 +450,10 @@ def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
             )
         report.subspace_count = count
         C = largest_subcoalgebra(Subspace.from_words(H, B))
-        report.core_dim = m = C.dim
-        basis = C.basis()
-
-        def span_of(rows):
-            # rows of coordinates on C's basis
-            return Subspace(H, [
-                sum((v * b for v, b in zip(row, basis) if v), H.zero())
-                for row in rows
-            ])
-
-        if 0 <= dimension <= m:
-            if p == 2:
-                for masks in _scan_gf2(C, dimension):
-                    report.found.append(span_of(
-                        [[(r >> t) & 1 for t in range(m)] for r in masks]))
-            else:
-                for rows in enumerate_rref(p, m, dimension):
-                    V = span_of(rows)
-                    if is_subcoalgebra(V).ok:
-                        report.found.append(V)
+        report.core_dim = C.dim
+        if 0 <= dimension <= C.dim:
+            report.found = [Subspace(H, [_element(C, row) for row in rows])
+                            for rows in _subcoalgebras(C, dimension)]
         try:
             D = alternating_span(H, seq)
         except ValueError:
@@ -448,61 +465,6 @@ def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
 
     report.elapsed = time.monotonic() - start
     return report
-
-
-def _scan_gf2(C, k):
-    """Exhaustive GF(2) scan core.  C is a subcoalgebra; returns the row
-    masks (bit t = basis element c_t of C) of every k-dimensional subspace
-    U of C with Delta(U) inside U (x) U.
-
-    The structure constants of C are read off its reduced basis: each c_a
-    has coefficient 1 at its pivot word p_a and 0 at the other pivots, and
-    Delta(c_t) lies in C (x) C, so the coefficient of c_a (x) c_b in
-    Delta(c_t) is the coefficient of Delta(c_t) at (p_a, p_b).
-    """
-    H = C.algebra
-    m = C.dim
-    pivots = C._ech.pivots()
-    drows = [[0] * m for _ in range(m)]
-    dcols = [[0] * m for _ in range(m)]
-    for t, c in enumerate(C.basis()):
-        terms = H.coproduct(c).terms
-        for a, pa in enumerate(pivots):
-            for b, pb in enumerate(pivots):
-                if (pa, pb) in terms:
-                    drows[t][a] |= 1 << b
-                    dcols[t][b] |= 1 << a
-
-    def mask(row):
-        bits = tuple(t for t, v in enumerate(row) if v)
-        return sum(1 << t for t in bits), bits
-
-    found = []
-    for pivots, pools in _rref_pools(2, m, k):
-        pools = [[mask(row) for row in pool] for pool in pools]
-        for chosen in iproduct(*pools):
-            rows = tuple(c[0] for c in chosen)
-            ok = True
-            for _, bits in chosen:
-                for a in range(m):
-                    x = 0
-                    y = 0
-                    for t in bits:
-                        x ^= drows[t][a]
-                        y ^= dcols[t][a]
-                    for pi, ri in zip(pivots, rows):
-                        if (x >> pi) & 1:
-                            x ^= ri
-                        if (y >> pi) & 1:
-                            y ^= ri
-                    if x or y:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(rows)
-    return found
 
 
 # -- coalgebra endomorphisms ----------------------------------------------------

@@ -333,10 +333,10 @@ class FreeHopfAlgebra:
         instance at most 3, and all the maps commute with level
         translation, so nat/int domains check the window (0, 4) for
         confluence, the instances of window (0, 2) and the letters of level
-        0; modular domains check everything.  Each item's integer residual
-        is reduced to the gcd of its coefficients once per RuleSet, and an
-        item fails over GF(p) iff p does not divide that gcd (over Q, iff
-        it is nonzero).
+        0; modular domains ignore the windows and check everything.  Each
+        item's integer residual is reduced to the gcd of its coefficients
+        once per RuleSet, and an item fails over GF(p) iff p does not
+        divide that gcd (over Q, iff it is nonzero).
 
         The report gives per-check failure counts, up to max_examples
         failing items per check, ok, the seconds this call took (a cached
@@ -370,9 +370,7 @@ class FreeHopfAlgebra:
         hit = _CERTIFICATE_CACHE.get(rules)
         if hit is not None:
             return hit
-        mod = self.domain.kind == "mod"
-
-        confluence = check_confluence(self.n, self.domain, None if mod else (0, 4))
+        confluence = check_confluence(self.n, self.domain, (0, 4))
         ambiguities = [
             ("%s (%s at %d, %s at %d)" % (word_str(r.word), RULE_NAMES[r.match_a[0]],
                                           r.match_a[1], RULE_NAMES[r.match_b[0]], r.match_b[1]),
@@ -380,7 +378,7 @@ class FreeHopfAlgebra:
             for r in confluence.unresolved
         ]
 
-        instances = rules.rule_instances(None if mod else (0, 2))
+        instances = rules.rule_instances((0, 2))
         delta, counit, anti = [], [], []
         for rule, lhs in instances:
             rhs = rules.reduce_once(lhs, rule, 0)
@@ -392,7 +390,7 @@ class FreeHopfAlgebra:
                 if g:
                     out.append((label, g))
 
-        words = self.basis_words(1, None if mod else (0, 0))
+        words = self.basis_words(1, (0, 0))
         letters = [(word_str(w), gcd(*gcds)) for w, gcds in self._integer_residuals(words)]
 
         checks = {"confluence": ambiguities, "delta": delta, "counit": counit,

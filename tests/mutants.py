@@ -116,6 +116,17 @@ def make_primitive(w, delta):
     return edit
 
 
+def replace_deltas(pairs):
+    """A coproduct edit: for each (old, new) pair, the value old, which only
+    one word has, becomes new."""
+    def edit(terms):
+        for old, new in pairs:
+            if terms == old:
+                return new
+        return terms
+    return edit
+
+
 def double_selected(select):
     """A rule edit: twice the right-hand side of each R1 and R2 instance
     for which select(i, j, r) holds, with i and j its free indices and r

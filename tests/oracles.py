@@ -24,12 +24,17 @@ oracle_kernel is the tracked,
 fully reduced elimination that freehopf.linalg.kernel replaced, and
 oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
 the pair products, the route that freehopf.analysis._tensor_remainder
-replaced.
+replaced.  oracle_subcoalgebras builds each reduced echelon basis from
+enumerate_rref into a package Subspace and asks is_subcoalgebra, and
+oracle_find_grouplikes tries every combination of a subspace's basis:
+these are the odd-p scan loop and the grouplike search that the
+structure-constant core freehopf.analysis._subcoalgebras replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
+from freehopf.analysis import Subspace, _rref_pools, is_subcoalgebra
 from freehopf.hopf import Element
 from freehopf.linalg import Echelon, kernel
 from freehopf.rewrite import (R1, R2, R3, R4, RULE_NAMES, AmbiguityRecord, ConfluenceReport, RuleSet,
@@ -374,6 +379,50 @@ def oracle_scan_gf2(H, B, k):
             if ok:
                 found.append(rows)
     return found
+
+
+def enumerate_rref(p, m, k):
+    """Yield every k x m reduced row-echelon basis over GF(p) as a list of
+    row tuples; pivots are leftmost, rows ordered by pivot.  It walks the
+    pools of freehopf.analysis._rref_pools in their order."""
+    for _, pools in _rref_pools(p, m, k):
+        for rows in iproduct(*pools):
+            yield list(rows)
+
+
+def oracle_subcoalgebras(C, k):
+    """The k-dimensional subcoalgebras of the subcoalgebra C over GF(p), as
+    tuples of coordinate rows on C's basis, in enumerate_rref order: each
+    reduced echelon basis is built into a Subspace and tested with
+    is_subcoalgebra."""
+    H = C.algebra
+    basis = C.basis()
+    out = []
+    for rows in enumerate_rref(H.field.characteristic, C.dim, k):
+        V = Subspace(H, [sum((v * b for v, b in zip(row, basis) if v), H.zero())
+                         for row in rows])
+        if is_subcoalgebra(V).ok:
+            out.append(tuple(rows))
+    return out
+
+
+def oracle_find_grouplikes(V):
+    """Every grouplike element of the subspace V over GF(p), by testing
+    each nonzero combination of V's basis, in lexicographic order of its
+    coefficients."""
+    H = V.algebra
+    basis = V.basis()
+    out = []
+    for coeffs in iproduct(range(H.field.characteristic), repeat=V.dim):
+        if not any(coeffs):
+            continue
+        x = H.zero()
+        for c, b in zip(coeffs, basis):
+            if c:
+                x = x + c * b
+        if x.counit() == H.field.one and x.coproduct() == H.tensor(x, x):
+            out.append(x)
+    return out
 
 
 def oracle_check_confluence(n, dom, levels=None):

@@ -26,9 +26,9 @@ from freehopf import analysis
 from freehopf.analysis import (
     Verdict,
     _primitive_map,
-    _scan_gf2,
+    alternating_words,
+    _subcoalgebras,
     _tensor_remainder,
-    enumerate_rref,
     irreducible_level_words,
 )
 
@@ -37,8 +37,9 @@ from freehopf.rewrite import _verified_grading, bi_weight
 from freehopf.words import UNIT, storage_key
 
 from mutants import (break_grading, break_one, break_one_nat, drop_delta, drop_delta_r1,
-                     make_primitive, patch_map, patch_reduce_once)
-from oracles import (oracle_find_primitives, oracle_rank_p, oracle_scan_gf2,
+                     make_primitive, patch_map, patch_reduce_once, replace_deltas)
+from oracles import (enumerate_rref, oracle_find_grouplikes, oracle_find_primitives,
+                     oracle_rank_p, oracle_scan_gf2, oracle_subcoalgebras,
                      oracle_tensor_remainder)
 
 H1Q = FreeHopfAlgebra(2, "ord:1", Field.rationals())
@@ -432,10 +433,96 @@ def test_scan_gf2_core_finds_proper_subcoalgebras():
     C = Subspace.from_words(H, B)  # its reduced basis is B, in this order
     assert largest_subcoalgebra(C) == C
     for k, count in ((2, 0), (4, 2), (8, 1)):
-        oracle = {_canon(V) for V in _mask_subspaces(H, B, oracle_scan_gf2(H, B, k))}
-        core = {_canon(V) for V in _mask_subspaces(H, B, _scan_gf2(C, k))}
-        assert core == oracle and len(core) == count
-    assert core == {_canon(C)}  # at k = 8 the one answer is C itself
+        # C's basis is B, so the oracle's word masks are coordinate rows on C
+        oracle = [tuple(tuple((r >> t) & 1 for t in range(len(B))) for r in masks)
+                  for masks in oracle_scan_gf2(H, B, k)]
+        assert _subcoalgebras(C, k) == oracle and len(oracle) == count
+    # at k = 8 the one answer is C itself
+    assert oracle == oracle_subcoalgebras(C, 8) == [
+        tuple(tuple(int(a == t) for t in range(8)) for a in range(8))]
+
+
+def _c0_spans(p):
+    """C0 (the level-0 letters) and span{1} + C0 of ord:1 over GF(p); each
+    has its words, in storage order, as its reduced basis."""
+    H = FreeHopfAlgebra(2, "ord:1", Field.prime(p))
+    words = irreducible_level_words(H, (0,))
+    return {"C0": Subspace.from_words(H, words),
+            "1+C0": Subspace.from_words(H, [UNIT] + words)}
+
+
+# the subcoalgebras of C0, a simple coalgebra over every field, are 0 and C0,
+# and those of span{1} + C0 are the sums of 0, k1 and C0.  GF(5) span{1} + C0
+# at k = 3 is left out: like k = 2 it has 20306 subspaces, which the oracle
+# takes over 2 s to test
+CORE_CASES = [(p, name, k) for p in (2, 3, 5) for name, m in (("C0", 4), ("1+C0", 5))
+              for k in range(m + 1) if (p, name, k) != (5, "1+C0", 3)]
+
+
+@pytest.mark.parametrize("p,name,k", CORE_CASES,
+                         ids=["f%d-%s-k%d" % case for case in CORE_CASES])
+def test_subcoalgebra_core_matches_the_oracle(p, name, k):
+    C = _c0_spans(p)[name]
+    assert largest_subcoalgebra(C) == C
+    found = _subcoalgebras(C, k)
+    assert found == oracle_subcoalgebras(C, k)
+    m = C.dim
+    if name == "1+C0" and k in (1, 4):
+        # k1, and C0 beside the unit
+        assert found == [tuple(tuple(int(t == a + (k == 4)) for t in range(m))
+                               for a in range(k))]
+    else:
+        assert len(found) == (k in (0, m))
+
+
+def test_column_spans_of_c0_are_one_sided_coideals():
+    # Delta(x[i,j;0]) = sum_a x[i,a;0] (x) x[a,j;0], so the span V of one
+    # column of letters has Delta(V) in C0 (x) V but not in V (x) C0: the
+    # rows of each M(u) lie in V and its columns do not.  A core that tested
+    # only the rows would report these spans at k = 2, where the comparison
+    # with the oracle above finds nothing.
+    for p in (2, 3, 5):
+        C0 = _c0_spans(p)["C0"]
+        H = C0.algebra
+        for j in (1, 2):
+            V = Subspace.from_words(H, [((1, j, 0),), ((2, j, 0),)])
+            for b in V.basis():
+                assert tensor_membership(H.coproduct(b), C0, V)
+                assert not tensor_membership(H.coproduct(b), V, C0)
+        assert _subcoalgebras(C0, 2) == []
+
+
+def test_find_grouplikes_matches_the_oracle(monkeypatch):
+    # eps(y) = 0, eps(w) = 1, and y comes first in storage order
+    y, w = ((1, 2, 0), (2, 1, 1)), ((2, 2, 0), (1, 1, 1))
+    for p in (2, 3):
+        H = FreeHopfAlgebra(2, "ord:1", Field.prime(p))
+        c0 = irreducible_level_words(H, (0,))
+        spans = [
+            [UNIT] + c0,
+            alternating_words(H, (0, 1)),
+            # x[1,1;0] lies outside every subcoalgebra of the span
+            [UNIT, ((1, 1, 0),), y, w],
+        ]
+        if p == 2:
+            spans.append([UNIT] + c0 + irreducible_level_words(H, (1,)))
+        for words in spans:
+            V = Subspace.from_words(H, words)
+            assert find_grouplikes(V) == oracle_find_grouplikes(V)
+    # plant grouplikes: with Delta(w) = w (x) w and
+    # Delta(y) = 2 y (x) y + y (x) w + w (x) y, both w and 2y + w are
+    # grouplike over GF(3), and the core's line through y + 2w has counit 2
+    H = FreeHopfAlgebra(2, "ord:1", Field.prime(3))
+    patch_map(monkeypatch, "delta_word", replace_deltas([
+        (H.delta_word(y), {(y, y): 2, (y, w): 1, (w, y): 1}),
+        (H.delta_word(w), {(w, w): 1}),
+    ]))
+    H = FreeHopfAlgebra(2, "ord:1", Field.prime(3))  # built on the patched coproduct
+    V = Subspace.from_words(H, [UNIT, ((1, 1, 0),), y, w])
+    found = find_grouplikes(V)
+    assert found == oracle_find_grouplikes(V)
+    assert sorted(map(str, found)) == sorted(
+        map(str, [H.one(), H.word(w), 2 * H.word(y) + H.word(w)]))
 
 
 @pytest.mark.parametrize("variant,tok,core_dim", [
