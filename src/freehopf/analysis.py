@@ -203,6 +203,11 @@ def is_subcoalgebra(V):
     return Verdict(True)
 
 
+def _element(H, pairs):
+    """The sum in H of c * b over the (c, b) pairs."""
+    return sum((c * b for c, b in pairs if c), H.zero())
+
+
 def largest_subcoalgebra(V):
     """The largest subcoalgebra contained in the subspace V, over any field.
 
@@ -220,10 +225,8 @@ def largest_subcoalgebra(V):
         combos = kernel(H.field, pairs)
         if len(combos) == W.dim:
             break
-        W = Subspace(H, [
-            sum((c * basis[t] for t, c in comb.items()), H.zero())
-            for comb in combos
-        ])
+        W = Subspace(H, [_element(H, ((c, basis[t]) for t, c in comb.items()))
+                         for comb in combos])
     return W
 
 
@@ -286,7 +289,8 @@ def find_grouplikes(V):
         raise ValueError("search space of size %d exceeds the bound %d"
                          % (count, GROUPLIKE_BOUND))
     C = largest_subcoalgebra(V)
-    lines = [_element(C, row) for (row,) in _subcoalgebras(C, 1)]
+    basis = C.basis()
+    lines = [_element(H, zip(row, basis)) for (row,) in _subcoalgebras(C, 1)]
     return sorted((H.field.inv(x.counit()) * x for x in lines),
                   key=lambda g: [g.terms.get(w, 0) for w in V._ech.pivots()])
 
@@ -327,11 +331,6 @@ def _rref_pools(p, m, k):
         yield pivots, pools
 
 
-def _element(C, row):
-    """The element of C with coordinates row on C's basis."""
-    return sum((v * b for v, b in zip(row, C.basis()) if v), C.algebra.zero())
-
-
 def _subcoalgebras(C, k):
     """Coordinate rows on C's basis of the reduced echelon basis of each
     k-dimensional subcoalgebra U of the subcoalgebra C over GF(p), in
@@ -351,7 +350,7 @@ def _subcoalgebras(C, k):
     @cache
     def lines(u):
         rows, cols = {}, {}
-        for (a, b), c in combine(zip(u, consts), p=p).items():
+        for (a, b), c in combine(((v, t) for v, t in zip(u, consts) if v), p=p).items():
             rows.setdefault(a, [0] * m)[b] = c
             cols.setdefault(b, [0] * m)[a] = c
         return list(dict.fromkeys(map(tuple, (*rows.values(), *cols.values()))))
@@ -360,7 +359,7 @@ def _subcoalgebras(C, k):
         for u in rows:
             for v in lines(u):
                 cs = [v[a] for a in pivots]
-                # one coefficient 1, the common case, needs no arithmetic
+                # most lines have one pivot entry 1, so are that row (BENCH_19.json)
                 if v != (rows[cs.index(1)] if sum(cs) == 1 else
                          tuple(sum(map(mul, cs, col)) % p for col in zip(*rows))):
                     return False
@@ -452,7 +451,8 @@ def scan_matrix_subcoalgebras(H, levels_seq, mode="candidate", dimension=None):
         C = largest_subcoalgebra(Subspace.from_words(H, B))
         report.core_dim = C.dim
         if 0 <= dimension <= C.dim:
-            report.found = [Subspace(H, [_element(C, row) for row in rows])
+            basis = C.basis()
+            report.found = [Subspace(H, [_element(H, zip(row, basis)) for row in rows])
                             for rows in _subcoalgebras(C, dimension)]
         try:
             D = alternating_span(H, seq)
