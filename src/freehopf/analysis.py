@@ -274,7 +274,7 @@ def find_grouplikes(V):
     grouplike spans one, and if k x is one, then Delta x = l x (x) x and
     x = (eps (x) id) Delta x = l eps(x) x, so x / eps(x) is grouplike.  The
     unit's span is handled over any field; other rational searches, and
-    spaces of more than GROUPLIKE_BOUND vectors, are refused."""
+    subcoalgebras of more than GROUPLIKE_BOUND lines, are refused."""
     H = V.algebra
     if V == Subspace(H, [H.one()]):
         return [H.one()]
@@ -284,11 +284,11 @@ def find_grouplikes(V):
             "grouplike enumeration over the rationals is only supported "
             "for the span of the unit"
         )
-    count = p ** V.dim
+    C = largest_subcoalgebra(V)
+    count = gaussian_binomial(C.dim, 1, p)
     if count > GROUPLIKE_BOUND:
         raise ValueError("search space of size %d exceeds the bound %d"
                          % (count, GROUPLIKE_BOUND))
-    C = largest_subcoalgebra(V)
     basis = C.basis()
     lines = [_element(H, zip(row, basis)) for (row,) in _subcoalgebras(C, 1)]
     return sorted((H.field.inv(x.counit()) * x for x in lines),

@@ -24,7 +24,11 @@ certify_hopf_ideal, a finite certificate that the rules generate a Hopf
 ideal, and sweeps the basis words only when the certificate fails or
 max_len <= 1 (then the words are the letters, which it checks anyway).
 The certificate's integer gcds are computed once per RuleSet and the
-sweep's on each call; both are projected to each field.
+sweep's on each call; both are projected to each field.  Its coproduct
+check runs once per orbit of the rule instances under the letter maps and
+level translations that rewrite verifies, when the rules are confluent and
+Delta commutes with those maps on the letters (up to the flip's twist of
+the legs), and on every instance otherwise.
 
 The maps on elements are linalg.combine over the single-word maps, with
 the field's values in place of integers and its characteristic as the
@@ -43,7 +47,8 @@ from math import gcd
 
 from .fields import Field
 from .linalg import combine
-from .rewrite import RULE_NAMES, check_confluence, rules_for
+from .rewrite import (R1, RULE_NAMES, _image, _instance_rhs, _representatives, _shift_table,
+                      _verified_shifts, _verified_symmetries, check_confluence, rules_for)
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
 # Coproducts of irreducible words per RuleSet.
@@ -338,6 +343,21 @@ class FreeHopfAlgebra:
         once per RuleSet, and an item fails over GF(p) iff p does not
         divide that gcd (over Q, iff it is nonzero).
 
+        The delta residual is computed once per orbit of the rule instances
+        (_integer_certificate).  The maps are the letter maps that
+        rewrite._verified_symmetries accepts on the instances (index
+        permutations, the flip x[i,j;r] -> x[j,i;c-r], the mod rotations)
+        and the level translations that rewrite._verified_shifts accepts,
+        where they keep an instance in the window.  Such a map g is an
+        algebra map on the letters, and Delta is multiplicative, so
+        Delta g = (g(x)g) Delta, or tau (g(x)g) Delta for the flip (tau
+        swaps the legs), as soon as that holds on the letters
+        (_delta_commutes).  Once confluence holds, nf g = g nf.  So the
+        residual of g(lhs) -> g(rhs) is that of lhs -> rhs with its keys
+        permuted, and has the same gcd.  If confluence or the check on the
+        letters fails, every instance is computed.  Either way the items,
+        their order and the counts are the same.
+
         The report gives per-check failure counts, up to max_examples
         failing items per check, ok, the seconds this call took (a cached
         certificate costs only the projection), and the work done:
@@ -365,7 +385,8 @@ class FreeHopfAlgebra:
     def _integer_certificate(self):
         """({check: [(label, gcd), ...]}, work) of certify_hopf_ideal over Z,
         keeping only items with a nonzero gcd; cached per RuleSet, since the
-        single-word maps are fixed by the letters."""
+        single-word maps are fixed by the letters.  Each instance reads the
+        delta gcd of its orbit's first one (see certify_hopf_ideal)."""
         rules = self.rules
         hit = _CERTIFICATE_CACHE.get(rules)
         if hit is not None:
@@ -378,17 +399,28 @@ class FreeHopfAlgebra:
             for r in confluence.unresolved
         ]
 
-        instances = rules.rule_instances((0, 2))
+        window = (0, 2)  # ignored on a modular domain
+        instances = rules.rule_instances(window)
+        rhs = _instance_rhs(rules, instances)  # for the symmetry checks and (b)
+        group = _verified_symmetries(rules, rhs, window)
+        shifts = [_shift_table(rules, window, t) for t in _verified_shifts(rules, rhs, window)]
+        if not (confluence.ok and self._delta_commutes(group, shifts, window)):
+            group, shifts = group[:1], []  # the identity alone: every instance
+        orbit_gcd = {}
+        for (rule, lhs), orbit in _representatives(instances, group, shifts):
+            d = combine(((-c, self._delta_terms(u)) for u, c in rhs[rule, lhs].items()),
+                        self._delta_terms(lhs))
+            orbit_gcd.update(dict.fromkeys(orbit, gcd(*d.values())))
         delta, counit, anti = [], [], []
         for rule, lhs in instances:
-            rhs = rules.reduce_once(lhs, rule, 0)
+            out = rhs[rule, lhs]
             label = "%s %s" % (RULE_NAMES[rule], word_str(lhs))
-            d = combine(((-c, self._delta_terms(u)) for u, c in rhs.items()), self._delta_terms(lhs))
-            e = self.counit_word(lhs) - sum(c * self.counit_word(u) for u, c in rhs.items())
-            s = combine(((-1, self.antipode_int(rhs)),), self.antipode_int({lhs: 1}))
-            for out, g in ((delta, gcd(*d.values())), (counit, abs(e)), (anti, gcd(*s.values()))):
+            e = self.counit_word(lhs) - sum(c * self.counit_word(u) for u, c in out.items())
+            s = combine(((-1, self.antipode_int(out)),), self.antipode_int({lhs: 1}))
+            for check, g in ((delta, orbit_gcd[rule, lhs]), (counit, abs(e)),
+                             (anti, gcd(*s.values()))):
                 if g:
-                    out.append((label, g))
+                    check.append((label, g))
 
         words = self.basis_words(1, (0, 0))
         letters = [(word_str(w), gcd(*gcds)) for w, gcds in self._integer_residuals(words)]
@@ -399,6 +431,24 @@ class FreeHopfAlgebra:
                 "rule_instances": len(instances), "letters": len(words) - 1}
         hit = _CERTIFICATE_CACHE[rules] = (checks, work)
         return hit
+
+    def _delta_commutes(self, group, shifts, window):
+        """Does Delta commute on the letters of the window with each letter
+        map (table, rules) in group, up to the twist of the legs for the
+        flip (rules swaps R1 and R2), and with each translation table in
+        shifts where it keeps the letter in the window?"""
+        delta = {l: self._delta_terms((l,)) for l in self.rules.alphabet(window)}
+        maps = [(table, rules[R1] != R1) for table, rules in group]
+        for table, twist in maps + [(shift, False) for shift in shifts]:
+            for l, image in table.items():
+                try:
+                    legs = [(_image(table, a), _image(table, b), c)
+                            for (a, b), c in delta[l].items()]
+                except KeyError:  # a leg leaves the table's letters
+                    return False
+                if delta[image] != {((b, a) if twist else (a, b)): c for a, b, c in legs}:
+                    return False
+        return True
 
     def _integer_residuals(self, words):
         """[(w, gcds), ...]: for each irreducible word, in the given order,

@@ -304,12 +304,13 @@ class RuleSet:
 
     def irreducible_count(self, max_len, levels=None):
         """len(irreducible_words(max_len, levels)), with the same errors,
-        counted per length over the last two letters of the words (whether
-        a word extends depends only on its last two letters)."""
+        counted per length over the tails of the words: whether a word
+        extends depends on its last letter, and on the one before only if
+        the two may start an R3 or R4 left-hand side (_extends)."""
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         letters = self.alphabet(levels)
-        extends = self._extends
+        extends, steps = self._extends, self._steps
         total = 1
         layer = {UNIT: 1}
         for _ in range(max_len):
@@ -318,6 +319,8 @@ class RuleSet:
                 for l in letters:
                     if extends(tail, l):
                         key = tail[-1:] + (l,)
+                        if len(key) == 2 and steps[key] is not _THREE:
+                            key = key[1:]
                         nxt[key] = nxt.get(key, 0) + c
             total += sum(nxt.values())
             layer = nxt
@@ -461,14 +464,21 @@ def check_confluence(n, dom, levels=None):
     return ConfluenceReport(n, dom, levels, len(covered), unresolved, checked, len(group))
 
 
-def _representatives(inst, group):
-    """The first rule instance of each orbit of the letter maps in group,
-    in instance order: the images of each one are marked as it is met."""
+def _representatives(inst, group, translations=()):
+    """(first, orbit) for each orbit of the rule instances, in instance
+    order: first is the orbit's first instance, and orbit the set of its
+    images under the letter maps in group and their translates by the
+    tables in translations (_shift_table) that stay in the window.  With a
+    group of maps that keep the window and every nonzero translation that
+    fits in it, that set is closed under both, so no orbit is met twice."""
     marked = set()
     for ra, wa in inst:
         if (ra, wa) not in marked:
-            marked.update((rules[ra], _image(table, wa)) for table, rules in group)
-            yield ra, wa
+            orbit = {(rules[ra], _image(table, wa)) for table, rules in group}
+            orbit.update([(rule, _image(shift, w)) for rule, w in orbit for shift in translations
+                          if all(l in shift for l in w)])
+            marked |= orbit
+            yield (ra, wa), orbit
 
 
 def _ambiguities(inst, firsts):
@@ -630,7 +640,8 @@ def _resolve(rs, inst, group, shifts, levels):
     covered = set()
     unresolved = []
     checked = 0
-    for word, ma, mb in _ambiguities(inst, _representatives(inst, group)):
+    firsts = (first for first, _ in _representatives(inst, group))
+    for word, ma, mb in _ambiguities(inst, firsts):
         if _key(word, ma, mb) in covered:
             continue
         checked += 1

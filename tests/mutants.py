@@ -4,14 +4,18 @@ Hopf-ideal certificate and axiom tests.
 A rule edit takes (w, rule, pos, out), where out is the right-hand side the
 real RuleSet.reduce_once gives for w at pos, and returns a broken one;
 patch_reduce_once installs it for one test.  A map edit takes the integer
-map a FreeHopfAlgebra single-word map returns and returns a broken one;
-patch_map installs it for one test.  Both install fresh shared RuleSets
-first, so every cache keyed by RuleSet (step tables, normal forms, grading
-verdicts, coproducts, certificates) starts empty under the mutant and the
-real algebra's entries are never read or written.
+map a FreeHopfAlgebra single-word map returns, the algebra and the map's
+arguments, and returns a broken one; patch_map installs it for one test.
+Both install fresh shared RuleSets first, so every cache keyed by RuleSet
+(step tables, normal forms, grading verdicts, coproducts, certificates)
+starts empty under the mutant and the real algebra's entries are never
+read or written.
 """
 
+from itertools import product
+
 from freehopf import FreeHopfAlgebra, rewrite
+from freehopf.linalg import combine
 from freehopf.rewrite import R1, R2, R3, RuleSet
 from freehopf.words import UNIT, storage_key
 
@@ -28,25 +32,48 @@ def patch_reduce_once(monkeypatch, edit):
 
 def patch_map(monkeypatch, name, edit):
     """FreeHopfAlgebra.<name> (a method returning an integer map) with edit
-    applied to every value it returns."""
+    applied to every value it returns, as edit(value, algebra, *args)."""
     original = getattr(FreeHopfAlgebra, name)
 
     def broken(self, *args, **kwargs):
-        return edit(original(self, *args, **kwargs))
+        return edit(original(self, *args, **kwargs), self, *args)
 
     monkeypatch.setattr(rewrite, "_RULESETS", {})
     monkeypatch.setattr(FreeHopfAlgebra, name, broken)
 
 
-def negate(terms):
+def negate(terms, *_):
     """-S in place of S: every antipode residual becomes twice an integer
     map, so the axioms hold over GF(2) and fail over Q, GF(3) and GF(5)."""
     return {t: -c for t, c in terms.items()}
 
 
-def double(terms):
+def double(terms, *_):
     """2*Delta in place of Delta on every word: the counit axioms fail."""
     return {t: 2 * c for t, c in terms.items()}
+
+
+def scale_level_one(terms, H, w):
+    """A coproduct edit: Delta scaled by 2 on the letters of level 1 and
+    extended multiplicatively, so a word with k letters of level 1 has 2^k
+    times its coproduct.  The level translations and the mod rotations do
+    not commute with it, while the flip of the window (0, 2) does."""
+    k = sum(r == 1 for _, _, r in w)
+    return {t: c << k for t, c in terms.items()}
+
+
+def self_term(terms, H, w):
+    """A coproduct edit: Delta(x) + x (x) x on every letter x, extended
+    multiplicatively, in place of Delta (the real value is not read).  It
+    commutes with every letter map and level translation (with the flip up
+    to the twist of the legs), and many rule instances break it."""
+    nf = H.rules.normal_form_word
+    legs = [[((i, a, r), (a, j, r)) for a in range(1, H.n + 1)] + [((i, j, r), (i, j, r))]
+            for i, j, r in w]
+    return combine((cl * cr, {(tl, tr): 1})
+                   for pick in product(*legs)
+                   for tl, cl in nf(tuple(a for a, _ in pick)).items()
+                   for tr, cr in nf(tuple(b for _, b in pick)).items())
 
 
 def _drop_unit_term(rules, w, rule, pos, out):
@@ -111,7 +138,7 @@ def make_primitive(w, delta):
     """A coproduct edit: the value delta, which only the word w has, becomes
     w (x) 1 + 1 (x) w, so w is primitive.  If w has bi-weight (0, 0), the
     coproduct still keeps the grading."""
-    def edit(terms):
+    def edit(terms, *_):
         return {(w, UNIT): 1, (UNIT, w): 1} if terms == delta else terms
     return edit
 
@@ -119,7 +146,7 @@ def make_primitive(w, delta):
 def replace_deltas(pairs):
     """A coproduct edit: for each (old, new) pair, the value old, which only
     one word has, becomes new."""
-    def edit(terms):
+    def edit(terms, *_):
         for old, new in pairs:
             if terms == old:
                 return new

@@ -29,16 +29,22 @@ enumerate_rref into a package Subspace and asks is_subcoalgebra, and
 oracle_find_grouplikes tries every combination of a subspace's basis:
 these are the odd-p scan loop and the grouplike search that the
 structure-constant core freehopf.analysis._subcoalgebras replaced.
+oracle_integer_certificate is the Hopf-ideal certificate with the
+coproduct residual computed on every rule instance, as
+freehopf.hopf.FreeHopfAlgebra._integer_certificate did before it computed
+one residual per orbit of the verified letter maps; it calls the package's
+confluence check, structure maps and axiom residuals.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from math import gcd
 
 from freehopf.analysis import Subspace, _rref_pools, is_subcoalgebra
 from freehopf.hopf import Element
-from freehopf.linalg import Echelon, kernel
+from freehopf.linalg import Echelon, combine, kernel
 from freehopf.rewrite import (R1, R2, R3, R4, RULE_NAMES, AmbiguityRecord, ConfluenceReport, RuleSet,
-                              _candidate_symmetries, _image, _image_terms, _key)
+                              _candidate_symmetries, _image, _image_terms, _key, check_confluence)
 from freehopf.words import UNIT, storage_key, word_str
 
 
@@ -423,6 +429,39 @@ def oracle_find_grouplikes(V):
         if x.counit() == H.field.one and x.coproduct() == H.tensor(x, x):
             out.append(x)
     return out
+
+
+def oracle_integer_certificate(H):
+    """The (checks, work) of H._integer_certificate() with step (b), the
+    coproduct residual of each rule instance, computed on every instance:
+    the loop that the per-orbit residuals of freehopf.hopf replaced.  Not
+    cached."""
+    rules = H.rules
+    confluence = check_confluence(H.n, H.domain, (0, 4))
+    ambiguities = [
+        ("%s (%s at %d, %s at %d)" % (word_str(r.word), RULE_NAMES[r.match_a[0]],
+                                      r.match_a[1], RULE_NAMES[r.match_b[0]], r.match_b[1]),
+         gcd(*combine(((-1, r.nf_b),), dict(r.nf_a)).values()))
+        for r in confluence.unresolved
+    ]
+    instances = rules.rule_instances((0, 2))
+    delta, counit, anti = [], [], []
+    for rule, lhs in instances:
+        rhs = rules.reduce_once(lhs, rule, 0)
+        label = "%s %s" % (RULE_NAMES[rule], word_str(lhs))
+        d = combine(((-c, H._delta_terms(u)) for u, c in rhs.items()), H._delta_terms(lhs))
+        e = H.counit_word(lhs) - sum(c * H.counit_word(u) for u, c in rhs.items())
+        s = combine(((-1, H.antipode_int(rhs)),), H.antipode_int({lhs: 1}))
+        for out, g in ((delta, gcd(*d.values())), (counit, abs(e)), (anti, gcd(*s.values()))):
+            if g:
+                out.append((label, g))
+    words = H.basis_words(1, (0, 0))
+    letters = [(word_str(w), gcd(*gcds)) for w, gcds in H._integer_residuals(words)]
+    checks = {"confluence": ambiguities, "delta": delta, "counit": counit,
+              "antipode": anti, "letters": letters}
+    work = {"ambiguities": confluence.total, "ambiguities_checked": confluence.checked,
+            "rule_instances": len(instances), "letters": len(words) - 1}
+    return checks, work
 
 
 def oracle_check_confluence(n, dom, levels=None):

@@ -313,8 +313,20 @@ def test_find_grouplikes():
                    + [H1F3.word(((2, 1, 0), (1, 1, 1)))]
                    + [H1F3.word(((2, 1, 0), (1, 2, 1)))])
     assert big.dim >= 16
-    with pytest.raises(ValueError, match="bound"):
-        find_grouplikes(big)
+    # the bound counts the lines of V's largest subcoalgebra, here 9-dim with
+    # (3^9 - 1)/2 lines, not the 3^dim vectors of V; every grouplike of V
+    # lies in that subcoalgebra
+    core = largest_subcoalgebra(big)
+    assert core.dim == 9
+    found = find_grouplikes(big)
+    assert [str(g) for g in found] == ["1"]
+    assert sorted(map(str, found)) == sorted(map(str, oracle_find_grouplikes(core)))
+    # C0+C1+C2+C3 of ord:2 over GF(3) is a 16-dim subcoalgebra: (3^16 - 1)/2
+    # lines exceed the bound
+    H2F3 = FreeHopfAlgebra(2, "ord:2", Field.prime(3))
+    letters = Subspace(H2F3, [H2F3.gen(i, j, r) for r in range(4) for i in (1, 2) for j in (1, 2)])
+    with pytest.raises(ValueError, match="search space of size 21523360 exceeds the bound 16777216"):
+        find_grouplikes(letters)
 
 
 def test_gaussian_binomial():

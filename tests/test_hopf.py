@@ -9,9 +9,9 @@ from freehopf import Field, FreeHopfAlgebra, hopf, parse_element, rewrite
 from freehopf.hopf import Element, parse_variant
 from freehopf.words import UNIT, LevelDomain
 
-from mutants import (break_one, double, drop_delta, drop_delta_r1, negate, patch_map,
-                     patch_reduce_once)
-from oracles import oracle_verify_axioms
+from mutants import (break_one, break_one_nat, double, drop_delta, drop_delta_r1, negate,
+                     patch_map, patch_reduce_once, scale_level_one, self_term)
+from oracles import oracle_integer_certificate, oracle_verify_axioms
 
 
 def test_parse_variant():
@@ -203,9 +203,11 @@ def test_basis_words_requires_window_for_free():
     ("free", (0, 1)), ("bij", (-1, 0)), ("ord:1", None), ("ord:2", None),
 ])
 def test_irreducible_count_is_the_number_of_basis_words(n, variant, window):
-    # verify_axioms reports this count as words_checked without listing
+    # verify_axioms reports this count as words_checked without listing;
+    # length 4 is listed where that takes well under a second
     H = FreeHopfAlgebra(n, variant)
-    for max_len in range(4):
+    longest = 4 if n == 2 or (n == 3 and variant != "ord:2") else 3
+    for max_len in range(longest + 1):
         assert H.rules.irreducible_count(max_len, window) == len(H.basis_words(max_len, window))
 
 
@@ -361,6 +363,48 @@ def test_certificate_fails_on_broken_rules(monkeypatch, edit, variant, levels, c
         assert report == oracle_verify_axioms(H, 2, levels)
     monkeypatch.undo()
     assert FreeHopfAlgebra(2, variant).certify_hopf_ideal()["ok"]
+
+
+def _certificate_maps(H):
+    """The verified letter maps and translation tables of H's certificate
+    window (0, 2)."""
+    rs = H.rules
+    inst = rs.rule_instances((0, 2))
+    rhs = rewrite._instance_rhs(rs, inst)
+    shifts = [rewrite._shift_table(rs, (0, 2), t)
+              for t in rewrite._verified_shifts(rs, rhs, (0, 2))]
+    return inst, rewrite._verified_symmetries(rs, rhs, (0, 2)), shifts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", [variant for variant, _ in CERT_CONFIGS])
+def test_orbit_certificate_matches_the_all_instance_oracle(monkeypatch, n, variant):
+    H = FreeHopfAlgebra(n, variant)
+    inst, group, shifts = _certificate_maps(H)
+    assert H._delta_commutes(group, shifts, (0, 2))
+    # one coproduct residual per orbit: 12 at n = 2 and 36 at n = 3, of
+    # 32 to 288 instances
+    orbits = [orbit for _, orbit in rewrite._representatives(inst, group, shifts)]
+    assert len(orbits) == {2: 12, 3: 36}[n] and sum(map(len, orbits)) == len(inst)
+    assert H._integer_certificate() == oracle_integer_certificate(H)
+    # scale_level_one keeps confluence but not the letter maps, so the
+    # certificate checks every instance; self_term keeps both and breaks
+    # step (b) orbit by orbit
+    for edit, commutes in ((scale_level_one, False), (self_term, True)):
+        with monkeypatch.context() as m:
+            patch_map(m, "_delta_terms", edit)
+            H = FreeHopfAlgebra(n, variant)
+            assert H._delta_commutes(*_certificate_maps(H)[1:], (0, 2)) == commutes
+            checks, work = H._integer_certificate()
+            assert checks["delta"] and not checks["confluence"]
+            assert (checks, work) == oracle_integer_certificate(H)
+    # where they apply, these rule mutants break confluence, so every
+    # instance is checked
+    for edit in (drop_delta, break_one, break_one_nat):
+        with monkeypatch.context() as m:
+            patch_reduce_once(m, edit)
+            H = FreeHopfAlgebra(n, variant)
+            assert H._integer_certificate() == oracle_integer_certificate(H)
 
 
 def test_axioms_up_to_length_one_sweep_without_a_certificate(monkeypatch):

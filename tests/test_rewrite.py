@@ -447,7 +447,8 @@ def test_representatives_meet_every_orbit(n, dom, window):
               for rule, w in inst}
     order = {a: k for k, a in enumerate(inst)}
     assert len(orbits) < len(inst)
-    assert reps == sorted((min(orbit, key=order.get) for orbit in orbits), key=order.get)
+    assert reps == sorted(((min(orbit, key=order.get), orbit) for orbit in orbits),
+                          key=lambda rep: order[rep[0]])
     _, checked, covered = rewrite._resolve(rs, inst, group, shifts, window)
     assert covered == {rewrite._key(*a) for a in oracle_ambiguities(inst)}
     assert checked == CONFLUENCE_PINNED[(n, dom, window)][2]
