@@ -437,16 +437,21 @@ class FreeHopfAlgebra:
         map (table, rules) in group, up to the twist of the legs for the
         flip (rules swaps R1 and R2), and with each translation table in
         shifts where it keeps the letter in the window?"""
-        delta = {l: self._delta_terms((l,)) for l in self.rules.alphabet(window)}
+        delta = {}
+        for l in self.rules.alphabet(window):
+            delta[l] = self._delta_terms((l,))
         maps = [(table, rules[R1] != R1) for table, rules in group]
-        for table, twist in maps + [(shift, False) for shift in shifts]:
+        for shift in shifts:
+            maps.append((shift, False))
+        for table, twist in maps:
             for l, image in table.items():
-                try:
-                    legs = [(_image(table, a), _image(table, b), c)
-                            for (a, b), c in delta[l].items()]
-                except KeyError:  # a leg leaves the table's letters
-                    return False
-                if delta[image] != {((b, a) if twist else (a, b)): c for a, b, c in legs}:
+                moved = {}
+                for (a, b), c in delta[l].items():
+                    if not table.keys() >= {*a, *b}:
+                        return False  # a leg leaves the table's letters
+                    a, b = _image(table, a), _image(table, b)
+                    moved[(b, a) if twist else (a, b)] = c
+                if delta[image] != moved:
                     return False
         return True
 

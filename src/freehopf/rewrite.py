@@ -475,8 +475,10 @@ def _representatives(inst, group, translations=()):
     for ra, wa in inst:
         if (ra, wa) not in marked:
             orbit = {(rules[ra], _image(table, wa)) for table, rules in group}
-            orbit.update([(rule, _image(shift, w)) for rule, w in orbit for shift in translations
-                          if all(l in shift for l in w)])
+            for rule, w in list(orbit):
+                for shift in translations:
+                    if shift.keys() >= set(w):
+                        orbit.add((rule, _image(shift, w)))
             marked |= orbit
             yield (ra, wa), orbit
 
