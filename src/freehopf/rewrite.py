@@ -21,7 +21,9 @@ leftmost rule match, and its right-hand side, from a per-RuleSet table of
 2- and 3-letter windows.
 
 Every same-length word on a right-hand side is strictly smaller than the
-left-hand side in words.compare_words, which is what makes the rewriting
+left-hand side in the order that compares words of one length and one
+level sequence by their index sequences (i1, j1, i2, j2, ...) and leaves
+other same-length pairs incomparable; that is what makes the rewriting
 terminate; check_confluence certifies local confluence by resolving every
 concrete overlap and inclusion ambiguity inside a level window.  Every rule
 also keeps the bi-weight of words (bi_weight); the primitive search relies
@@ -281,25 +283,36 @@ class RuleSet:
         rng = range(1, self.n + 1)
         return [(i, j, r) for r in lvls for i in rng for j in rng]
 
-    def irreducible_words(self, max_len, levels=None):
+    def irreducible_words(self, max_len, levels=None, zero_weight=False):
         """All irreducible words of length <= max_len with levels in the
-        window, ordered by length then storage order.
+        window, ordered by length then storage order; with zero_weight,
+        only those of bi-weight (0,0) (bi_weight), in the same order.
 
         Extends shorter irreducible words on the right, so only the rule
         patterns touching the final letter need checking; the set is closed
-        under taking subwords.
+        under taking subwords.  Each letter moves the row and the column
+        weight by one signed unit vector, so with zero_weight a word of
+        length m is kept, and extended, only while both weights have
+        1-norm <= max_len - m: only then can it still return to (0,0).
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         letters = self.alphabet(levels)
         extends = self._extends
+        if zero_weight:
+            weight = {UNIT: bi_weight(self.n, UNIT)}
         out = [UNIT]
         layer = [UNIT]
-        for _ in range(max_len):
+        for room in range(max_len - 1, -1, -1):
             nxt = [w + (l,) for w in layer for l in letters if extends(w[-2:], l)]
+            if zero_weight:
+                nxt = [v for v in nxt if _within(weight, v, room)]
             nxt.sort(key=storage_key)
             out.extend(nxt)
             layer = nxt
+        if zero_weight:
+            zero = weight[UNIT]
+            out = [w for w in out if weight[w] == zero]
         return out
 
     def irreducible_count(self, max_len, levels=None):
@@ -606,6 +619,20 @@ def bi_weight(n, w):
         row[i - 1] += s
         col[j - 1] += s
     return tuple(row), tuple(col)
+
+
+def _within(weight, v, room):
+    """Can v still return to bi-weight (0,0) within room more letters?
+    Records v's bi-weight in weight, from its prefix's, when it can."""
+    i, j, r = v[-1]
+    s = -1 if r % 2 else 1
+    row, col = weight[v[:-1]]
+    row = row[:i - 1] + (row[i - 1] + s,) + row[i:]
+    col = col[:j - 1] + (col[j - 1] + s,) + col[j:]
+    if sum(map(abs, row)) > room or sum(map(abs, col)) > room:
+        return False
+    weight[v] = row, col
+    return True
 
 
 def _verified_grading(rs, levels):

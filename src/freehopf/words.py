@@ -1,4 +1,4 @@
-"""Generator letters, level domains, and word orders.
+"""Generator letters, level domains, and the storage order of words.
 
 A letter is a plain tuple (i, j, r): row index i, column index j (both in
 1..n), and an integer level r.  Levels live in one of three domains:
@@ -11,7 +11,7 @@ A word is a tuple of letters; the empty tuple UNIT is the unit monomial.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from operator import itemgetter
 
 UNIT = ()
 
@@ -90,13 +90,6 @@ class LevelDomain:
         return "N" if self.kind == "nat" else "Z"
 
 
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-    INCOMPARABLE = 2
-
-
 def letter(n, dom, i, j, r):
     """Validated letter constructor."""
     if not (1 <= i <= n and 1 <= j <= n):
@@ -104,40 +97,15 @@ def letter(n, dom, i, j, r):
     return (i, j, dom.canon(r))
 
 
-def word_levels(w):
-    return tuple(l[2] for l in w)
-
-
-def word_ij(w):
-    """The flattened row/column index sequence (i1, j1, i2, j2, ...)."""
-    seq = []
-    for i, j, _ in w:
-        seq.append(i)
-        seq.append(j)
-    return tuple(seq)
+_level = itemgetter(2)
 
 
 def storage_key(w):
     """Total-order key used for storage and printing: length, then the level
-    sequence lexicographically, then the index sequence lexicographically."""
-    return (len(w), word_levels(w), word_ij(w))
-
-
-def compare_words(a, b):
-    """The partial order that orients the reduction system.
-
-    a < b when a is shorter, or when the lengths and level sequences agree
-    and the index sequence of a is lexicographically smaller.  Same-length
-    words with different level sequences are incomparable.
-    """
-    if len(a) != len(b):
-        return Ordering.LESS if len(a) < len(b) else Ordering.GREATER
-    if word_levels(a) != word_levels(b):
-        return Ordering.INCOMPARABLE
-    ia, ib = word_ij(a), word_ij(b)
-    if ia == ib:
-        return Ordering.EQUAL
-    return Ordering.LESS if ia < ib else Ordering.GREATER
+    sequence lexicographically, then the letters (i, j, r) lexicographically.
+    Once the levels agree, the first letters that differ differ in (i, j),
+    so the last part orders by the index sequence (i1, j1, i2, j2, ...)."""
+    return (len(w), tuple(map(_level, w)), w)
 
 
 def letter_str(l):

@@ -29,6 +29,9 @@ enumerate_rref into a package Subspace and asks is_subcoalgebra, and
 oracle_find_grouplikes tries every combination of a subspace's basis:
 these are the odd-p scan loop and the grouplike search that the
 structure-constant core freehopf.analysis._subcoalgebras replaced.
+compare_words (with Ordering, word_levels and word_ij) is the termination
+order of the rewriting rules, and oracle_storage_key the storage key that
+freehopf.words.storage_key replaced by a cheaper one of the same order.
 oracle_integer_certificate is the Hopf-ideal certificate with the
 coproduct residual computed on every rule instance, as
 freehopf.hopf.FreeHopfAlgebra._integer_certificate did before it computed
@@ -36,6 +39,7 @@ one residual per orbit of the verified letter maps; it calls the package's
 confluence check, structure maps and axiom residuals.
 """
 
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import gcd
@@ -88,6 +92,52 @@ def oracle_irreducible_count(n, kind, modulus, levels, max_len):
                 total += 1
         counts[length] = total
     return counts
+
+
+# -- word orders ------------------------------------------------------------------
+
+
+class Ordering(Enum):
+    LESS = -1
+    EQUAL = 0
+    GREATER = 1
+    INCOMPARABLE = 2
+
+
+def word_levels(w):
+    return tuple(l[2] for l in w)
+
+
+def word_ij(w):
+    """The flattened row/column index sequence (i1, j1, i2, j2, ...)."""
+    seq = []
+    for i, j, _ in w:
+        seq.append(i)
+        seq.append(j)
+    return tuple(seq)
+
+
+def oracle_storage_key(w):
+    """The storage order written out: length, then the level sequence
+    lexicographically, then the index sequence lexicographically."""
+    return (len(w), word_levels(w), word_ij(w))
+
+
+def compare_words(a, b):
+    """The partial order that orients the reduction system.
+
+    a < b when a is shorter, or when the lengths and level sequences agree
+    and the index sequence of a is lexicographically smaller.  Same-length
+    words with different level sequences are incomparable.
+    """
+    if len(a) != len(b):
+        return Ordering.LESS if len(a) < len(b) else Ordering.GREATER
+    if word_levels(a) != word_levels(b):
+        return Ordering.INCOMPARABLE
+    ia, ib = word_ij(a), word_ij(b)
+    if ia == ib:
+        return Ordering.EQUAL
+    return Ordering.LESS if ia < ib else Ordering.GREATER
 
 
 def oracle_rank_q(rows):

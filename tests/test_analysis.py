@@ -212,6 +212,15 @@ def _block00(H, max_len, levels):
     return [w for w in H.basis_words(max_len, levels) if bi_weight(H.n, w) == zero]
 
 
+@pytest.mark.parametrize("n,max_len", [(2, m) for m in range(5)] + [(3, m) for m in range(4)])
+@pytest.mark.parametrize("variant,levels", PRIMITIVE_WINDOWS + (("free", (1, 3)), ("bij", (-3, -1))))
+def test_zero_weight_walk_is_the_filtered_basis(n, max_len, variant, levels):
+    # free (1, 3) starts on an odd level, bij (-3, -1) on odd negative ones
+    H = FreeHopfAlgebra(n, variant)
+    walk = H.rules.irreducible_words(max_len, levels, zero_weight=True)
+    assert walk == _block00(H, max_len, levels)
+
+
 @pytest.mark.parametrize("n,max_len", ((2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)))
 @pytest.mark.parametrize("variant,levels", PRIMITIVE_WINDOWS)
 def test_find_primitives_matches_full_kernel_oracle(monkeypatch, n, max_len, variant, levels):

@@ -168,6 +168,13 @@ def test_primitives(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_primitives_reports_max_len_before_the_window(capsys):
+    code, out, err = run(capsys, "primitives", "--variant", "free", "--maxlen", "-1",
+                         "--levels", "2..0")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: max_len must be >= 0"
+
+
 def test_suite_runner(capsys):
     code, out, _ = run(capsys, "suite", "axioms", "--variant", "ord:1",
                        "--field", "f2", "--maxlen", "2")

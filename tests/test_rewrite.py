@@ -9,14 +9,14 @@ import pytest
 
 from freehopf import rewrite
 from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
-from freehopf.words import LevelDomain, Ordering, compare_words
+from freehopf.words import LevelDomain
 
 from mutants import (break_grading, break_one, break_one_nat, double_first_index_1,
                      double_selected, drop_delta, drop_delta_r1, patch_reduce_once)
-from oracles import (oracle_ambiguities, oracle_check_confluence, oracle_irreducible_count,
-                     oracle_match_at, oracle_normal_form_word, oracle_reduce_once,
-                     oracle_reducible, oracle_rule_instances, oracle_step_entry,
-                     oracle_verified_symmetries)
+from oracles import (Ordering, compare_words, oracle_ambiguities, oracle_check_confluence,
+                     oracle_irreducible_count, oracle_match_at, oracle_normal_form_word,
+                     oracle_reduce_once, oracle_reducible, oracle_rule_instances,
+                     oracle_step_entry, oracle_verified_symmetries)
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()

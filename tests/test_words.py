@@ -1,5 +1,6 @@
 """Level domains, letters, and the word partial order."""
 
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -7,13 +8,13 @@ import pytest
 from freehopf.words import (
     UNIT,
     LevelDomain,
-    Ordering,
-    compare_words,
     letter,
     letter_str,
     storage_key,
     word_str,
 )
+
+from oracles import Ordering, compare_words, oracle_storage_key
 
 
 def test_level_domains():
@@ -113,3 +114,20 @@ def test_storage_key_refines_order():
                 assert storage_key(a) < storage_key(b)
             if a == b:
                 assert storage_key(a) == storage_key(b)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("dom,window", (
+    (LevelDomain.nat(), (0, 2)),
+    (LevelDomain.integers(), (-2, 0)),
+    (LevelDomain.mod(2), None),
+    (LevelDomain.mod(4), None),
+))
+def test_storage_key_sorts_like_the_oracle_key(n, dom, window):
+    levels = dom.levels(window)
+    words = [w for length in range(4) for w in _all_words(n, levels, length)]
+    random.Random(n).shuffle(words)
+    by_key = sorted(words, key=storage_key)
+    assert by_key == sorted(words, key=oracle_storage_key)
+    # a total order: no two words share a key
+    assert len({storage_key(w) for w in words}) == len(words)
