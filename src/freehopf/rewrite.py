@@ -26,8 +26,8 @@ level sequence by their index sequences (i1, j1, i2, j2, ...) and leaves
 other same-length pairs incomparable; that is what makes the rewriting
 terminate; check_confluence certifies local confluence by resolving every
 concrete overlap and inclusion ambiguity inside a level window.  Every rule
-also keeps the bi-weight of words (bi_weight); the primitive search relies
-on that only after _verified_grading has checked it on the window.
+also keeps the bi-weight of words (words.bi_weight); the primitive search
+relies on that only after _verified_grading has checked it on the window.
 """
 
 import weakref
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .linalg import combine
-from .words import UNIT, LevelDomain, storage_key, word_str
+from .words import UNIT, LevelDomain, bi_weight, can_return, storage_key, word_str
 
 R1, R2, R3, R4 = 1, 2, 3, 4
 RULE_NAMES = {R1: "R1", R2: "R2", R3: "R3", R4: "R4"}
@@ -306,7 +306,7 @@ class RuleSet:
         for room in range(max_len - 1, -1, -1):
             nxt = [w + (l,) for w in layer for l in letters if extends(w[-2:], l)]
             if zero_weight:
-                nxt = [v for v in nxt if _within(weight, v, room)]
+                nxt = [v for v in nxt if can_return(weight, v, room)]
             nxt.sort(key=storage_key)
             out.extend(nxt)
             layer = nxt
@@ -607,32 +607,6 @@ def _verified_shifts(rs, rhs, levels):
                 return ()
     width = len(rs.dom.levels(levels)) - 1
     return tuple(t for t in range(-width, width + 1) if t)
-
-
-def bi_weight(n, w):
-    """The (row, column) weight of a word in Z^n x Z^n: x[i,j;r] weighs
-    s*e_i and s*e_j with s = (-1)^r, and weights add along the word.  The
-    parity of r is well defined on a modular domain of even modulus."""
-    row, col = [0] * n, [0] * n
-    for i, j, r in w:
-        s = -1 if r % 2 else 1
-        row[i - 1] += s
-        col[j - 1] += s
-    return tuple(row), tuple(col)
-
-
-def _within(weight, v, room):
-    """Can v still return to bi-weight (0,0) within room more letters?
-    Records v's bi-weight in weight, from its prefix's, when it can."""
-    i, j, r = v[-1]
-    s = -1 if r % 2 else 1
-    row, col = weight[v[:-1]]
-    row = row[:i - 1] + (row[i - 1] + s,) + row[i:]
-    col = col[:j - 1] + (col[j - 1] + s,) + col[j:]
-    if sum(map(abs, row)) > room or sum(map(abs, col)) > room:
-        return False
-    weight[v] = row, col
-    return True
 
 
 def _verified_grading(rs, levels):

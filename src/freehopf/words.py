@@ -1,4 +1,5 @@
-"""Generator letters, level domains, and the storage order of words.
+"""Generator letters, level domains, the storage order and the bi-weight
+of words.
 
 A letter is a plain tuple (i, j, r): row index i, column index j (both in
 1..n), and an integer level r.  Levels live in one of three domains:
@@ -106,6 +107,32 @@ def storage_key(w):
     Once the levels agree, the first letters that differ differ in (i, j),
     so the last part orders by the index sequence (i1, j1, i2, j2, ...)."""
     return (len(w), tuple(map(_level, w)), w)
+
+
+def bi_weight(n, w):
+    """The (row, column) weight of a word in Z^n x Z^n: x[i,j;r] weighs
+    s*e_i and s*e_j with s = (-1)^r, and weights add along the word.  The
+    parity of r is well defined on a modular domain of even modulus."""
+    row, col = [0] * n, [0] * n
+    for i, j, r in w:
+        s = -1 if r % 2 else 1
+        row[i - 1] += s
+        col[j - 1] += s
+    return tuple(row), tuple(col)
+
+
+def can_return(weight, v, room):
+    """Can v still return to bi-weight (0,0) within room more letters?
+    Records v's bi-weight in weight, from its prefix's, when it can."""
+    i, j, r = v[-1]
+    s = -1 if r % 2 else 1
+    row, col = weight[v[:-1]]
+    row = row[:i - 1] + (row[i - 1] + s,) + row[i:]
+    col = col[:j - 1] + (col[j - 1] + s,) + col[j:]
+    if sum(map(abs, row)) > room or sum(map(abs, col)) > room:
+        return False
+    weight[v] = row, col
+    return True
 
 
 def letter_str(l):

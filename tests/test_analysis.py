@@ -33,8 +33,8 @@ from freehopf.analysis import (
 )
 
 from freehopf.hopf import Tensor
-from freehopf.rewrite import _verified_grading, bi_weight
-from freehopf.words import UNIT, storage_key
+from freehopf.rewrite import _verified_grading
+from freehopf.words import UNIT, bi_weight, storage_key
 
 from mutants import (break_grading, break_one, break_one_nat, drop_delta, drop_delta_r1,
                      make_primitive, patch_map, patch_reduce_once, replace_deltas)

@@ -149,7 +149,7 @@ def test_returned_coefficients_are_plain_values_of_the_field(tok, monkeypatch):
     from freehopf.analysis import (Subspace, find_primitives, irreducible_level_words,
                                    largest_subcoalgebra)
     from freehopf.linalg import kernel
-    from freehopf.rewrite import bi_weight
+    from freehopf.words import bi_weight
 
     F = Field.from_token(tok)
     H = FreeHopfAlgebra(2, "ord:1", F)
