@@ -25,10 +25,10 @@ ideal, and sweeps the basis words only when the certificate fails or
 max_len <= 1 (then the words are the letters, which it checks anyway).
 The certificate's integer gcds are computed once per RuleSet and the
 sweep's on each call; both are projected to each field.  Its coproduct
-check runs once per orbit of the rule instances under the letter maps and
-level translations that rewrite verifies, when the rules are confluent and
-Delta commutes with those maps on the letters (up to the flip's twist of
-the legs), and on every instance otherwise.
+check runs once per orbit of the rule instances under the letter maps that
+rewrite verifies, when the rules are confluent and Delta commutes with
+those maps on the letters (up to the flip's twist of the legs), and on
+every instance otherwise.
 
 The maps on elements are linalg.combine over the single-word maps, with
 the field's values in place of integers and its characteristic as the
@@ -47,8 +47,8 @@ from math import gcd
 
 from .fields import Field
 from .linalg import combine
-from .rewrite import (R1, RULE_NAMES, _image, _instance_rhs, _representatives, _shift_table,
-                      _verified_shifts, _verified_symmetries, check_confluence, rules_for)
+from .rewrite import (R1, RULE_NAMES, _image, _instance_rhs, _representatives,
+                      _verified_symmetries, check_confluence, rules_for)
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
 # Coproducts of irreducible words per RuleSet.
@@ -344,12 +344,11 @@ class FreeHopfAlgebra:
         divide that gcd (over Q, iff it is nonzero).
 
         The delta residual is computed once per orbit of the rule instances
-        (_integer_certificate).  The maps are the letter maps that
-        rewrite._verified_symmetries accepts on the instances (index
-        permutations, the flip x[i,j;r] -> x[j,i;c-r], the mod rotations)
-        and the level translations that rewrite._verified_shifts accepts,
-        where they keep an instance in the window.  Such a map g is an
-        algebra map on the letters, and Delta is multiplicative, so
+        (_integer_certificate).  The orbits come from the letter maps alone:
+        those that rewrite._verified_symmetries accepts on the instances
+        (index permutations, the flip x[i,j;r] -> x[j,i;c-r], the mod
+        rotations), each a permutation of the window's letters.  Such a map
+        g is an algebra map on the letters, and Delta is multiplicative, so
         Delta g = (g(x)g) Delta, or tau (g(x)g) Delta for the flip (tau
         swaps the legs), as soon as that holds on the letters
         (_delta_commutes).  Once confluence holds, nf g = g nf.  So the
@@ -403,11 +402,10 @@ class FreeHopfAlgebra:
         instances = rules.rule_instances(window)
         rhs = _instance_rhs(rules, instances)  # for the symmetry checks and (b)
         group = _verified_symmetries(rules, rhs, window)
-        shifts = [_shift_table(rules, window, t) for t in _verified_shifts(rules, rhs, window)]
-        if not (confluence.ok and self._delta_commutes(group, shifts, window)):
-            group, shifts = group[:1], []  # the identity alone: every instance
+        if not (confluence.ok and self._delta_commutes(group, window)):
+            group = group[:1]  # the identity alone: every instance
         orbit_gcd = {}
-        for (rule, lhs), orbit in _representatives(instances, group, shifts):
+        for (rule, lhs), orbit in _representatives(instances, group):
             d = combine(((-c, self._delta_terms(u)) for u, c in rhs[rule, lhs].items()),
                         self._delta_terms(lhs))
             orbit_gcd.update(dict.fromkeys(orbit, gcd(*d.values())))
@@ -432,23 +430,17 @@ class FreeHopfAlgebra:
         hit = _CERTIFICATE_CACHE[rules] = (checks, work)
         return hit
 
-    def _delta_commutes(self, group, shifts, window):
+    def _delta_commutes(self, group, window):
         """Does Delta commute on the letters of the window with each letter
         map (table, rules) in group, up to the twist of the legs for the
-        flip (rules swaps R1 and R2), and with each translation table in
-        shifts where it keeps the letter in the window?"""
-        delta = {}
-        for l in self.rules.alphabet(window):
-            delta[l] = self._delta_terms((l,))
-        maps = [(table, rules[R1] != R1) for table, rules in group]
-        for shift in shifts:
-            maps.append((shift, False))
-        for table, twist in maps:
+        flip (rules swaps R1 and R2)?  Each table maps every letter of the
+        window, and the legs of Delta of a letter are letters of its level."""
+        delta = {l: self._delta_terms((l,)) for l in self.rules.alphabet(window)}
+        for table, rules in group:
+            twist = rules[R1] != R1
             for l, image in table.items():
                 moved = {}
                 for (a, b), c in delta[l].items():
-                    if not table.keys() >= {*a, *b}:
-                        return False  # a leg leaves the table's letters
                     a, b = _image(table, a), _image(table, b)
                     moved[(b, a) if twist else (a, b)] = c
                 if delta[image] != moved:

@@ -142,16 +142,6 @@ class RuleSet:
         lo, hi = (b, c) if col else (c, b)
         return c[col] == fixed[2] and hi[2] == up(lo[2])
 
-    def matches(self, w):
-        """All (rule, position) pairs matching w, sorted by position then rule."""
-        out = []
-        for pos in range(len(w)):
-            for rule in (R1, R2, R3, R4):
-                if self.match_at(w, rule, pos):
-                    out.append((rule, pos))
-        out.sort(key=lambda m: (m[1], m[0]))
-        return out
-
     def is_irreducible(self, w):
         return self._leftmost_step(w) is None
 
@@ -438,20 +428,23 @@ def check_confluence(n, dom, levels=None):
     The candidate letter maps are the permutations of the indices 1..n-2,
     the flip x[i,j;r] -> x[j,i;c-r] (c = lo+hi on a window, 0 mod m; it
     swaps R1 with R2 and R3 with R4 and keeps match positions), the mod
-    level rotations r -> r+1, and their products; those that map the rule
-    instances onto themselves and commute with reduce_once on every
-    instance form a subgroup (_verified_symmetries).  On a nat/int window
-    the translations r -> r+t join them if the unit shifts pass the same
-    test where their images stay in the window (_verified_shifts).  Such a
-    map carries a resolution of an ambiguity to one of its image.
+    level rotations r -> r+1, and their products.  If the generators of
+    that group map the rule instances onto themselves and commute with
+    reduce_once on every instance, so does every candidate, and all are
+    used, else the identity alone (_verified_symmetries).  On a nat/int
+    window the translations r -> r+t join them if the unit shifts pass the
+    same test where their images stay in the window (_verified_shifts).
+    Such a map carries a resolution of an ambiguity to one of its image.
     Ambiguities are streamed from one rule instance per letter-map orbit
-    (_ambiguities); the first streamed member of each orbit of the maps is
-    checked and the rest marked as covered (_resolve).  So `total` counts
-    every ambiguity, and `checked` the orbits, whichever members were
-    streamed.  If every checked ambiguity resolves, so does every one, and
-    the rules are confluent on the window by Bergman's diamond lemma.  If
-    not, the check is repeated with the trivial group and no translations,
-    so every unresolved ambiguity is listed.
+    (_ambiguities), not per translation orbit: an overlap that reaches
+    below a translated instance may have no translate inside the window.
+    The first streamed member of each orbit of the maps is checked and
+    the rest marked as covered (_resolve).  So `total` counts every
+    ambiguity, and `checked` the orbits, whichever members were streamed.
+    If every checked ambiguity resolves, so does every one, and the rules
+    are confluent on the window by Bergman's diamond lemma.  If not, the
+    check is repeated with the trivial group and no translations, so every
+    unresolved ambiguity is listed.
 
     Normal forms are cached on a private RuleSet that is dropped with the
     check; the shared rules_for cache is left as it was.
@@ -470,28 +463,21 @@ def check_confluence(n, dom, levels=None):
     group = _verified_symmetries(rs, rhs, levels)
     shifts = _verified_shifts(rs, rhs, levels)
     del rhs  # freed before _resolve, whose normal forms set the peak memory
-    unresolved, checked, covered = _resolve(rs, inst, group, shifts, levels)
+    unresolved, checked, covered = _resolve(rs, inst, group, shifts)
     if (len(group) > 1 or shifts) and unresolved:
-        group, shifts = group[:1], ()  # the identity alone
-        unresolved, checked, covered = _resolve(rs, inst, group, shifts, levels)
+        group, shifts = group[:1], []  # the identity alone
+        unresolved, checked, covered = _resolve(rs, inst, group, shifts)
     return ConfluenceReport(n, dom, levels, len(covered), unresolved, checked, len(group))
 
 
-def _representatives(inst, group, translations=()):
-    """(first, orbit) for each orbit of the rule instances, in instance
-    order: first is the orbit's first instance, and orbit the set of its
-    images under the letter maps in group and their translates by the
-    tables in translations (_shift_table) that stay in the window.  With a
-    group of maps that keep the window and every nonzero translation that
-    fits in it, that set is closed under both, so no orbit is met twice."""
+def _representatives(inst, group):
+    """(first, orbit) for each orbit of the rule instances under the group
+    of letter maps, in instance order: first is the orbit's first
+    instance, and orbit the set of its images."""
     marked = set()
     for ra, wa in inst:
         if (ra, wa) not in marked:
             orbit = {(rules[ra], _image(table, wa)) for table, rules in group}
-            for rule, w in list(orbit):
-                for shift in translations:
-                    if shift.keys() >= set(w):
-                        orbit.add((rule, _image(shift, w)))
             marked |= orbit
             yield (ra, wa), orbit
 
@@ -563,22 +549,26 @@ def _instance_rhs(rs, inst):
     return {(rule, w): rs.reduce_once(w, rule, 0) for rule, w in inst}
 
 
+def _commutes(table, rules, rhs):
+    """Does the letter map table, acting on rule ids by rules, map every
+    rule instance whose letters it maps to a rule instance, and commute
+    with reduce_once on it?  rhs is _instance_rhs of the instances."""
+    return all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
+               for (rule, w), out in rhs.items() if table.keys() >= set(w))
+
+
 def _verified_symmetries(rs, rhs, levels):
-    """The candidates that map every rule instance to a rule instance and
-    commute with reduce_once on it (rhs is _instance_rhs of the
-    instances), identity first.  The candidates are the group generated by
-    a transposition and an (n-2)-cycle of the indices 1..n-2, the flip and,
-    mod m, the rotation r -> r+1, and products of such maps are such maps:
-    if the generators pass, every candidate does.  Else each is tested."""
+    """Every candidate, identity first, if each generator of the
+    candidates maps every rule instance to a rule instance and commutes
+    with reduce_once on it (_commutes), else the identity alone.  The
+    candidates are the group generated by a transposition and an
+    (n-2)-cycle of the indices 1..n-2, the flip and, mod m, the rotation
+    r -> r+1, and products of such maps are such maps: if the generators
+    pass, every candidate does."""
     candidates, gens = _candidate_symmetries(rs, levels)
-
-    def commutes(table, rules):
-        return all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
-                   for (rule, w), out in rhs.items())
-
-    if all(commutes(*candidates[i]) for i in gens):
+    if all(_commutes(*candidates[i], rhs) for i in gens):
         return candidates
-    return [c for c in candidates if commutes(*c)]
+    return candidates[:1]
 
 
 def _shift_table(rs, levels, t):
@@ -589,24 +579,20 @@ def _shift_table(rs, levels, t):
 
 
 def _verified_shifts(rs, rhs, levels):
-    """The level translations r -> r+t of a nat/int window that carry a
-    resolution along: every t != 0 with |t| <= hi-lo if the unit shifts
-    t = 1 and t = -1 each map every rule instance whose image stays in the
-    window to a rule instance and commute with reduce_once on it (rhs is
-    _instance_rhs of the instances), else none (and none on a modular
-    domain, whose rotations are letter maps).  A translate of a word that
-    stays in the window, an interval, is a chain of unit shifts inside it,
-    so every rewrite of the word commutes with the translation."""
-    if rs.dom.kind == "mod":
-        return ()
-    for t in (1, -1):
-        table = _shift_table(rs, levels, t)
-        for (rule, w), out in rhs.items():
-            if all(l in table for l in w) and (
-                    rhs.get((rule, _image(table, w))) != _image_terms(table, out)):
-                return ()
+    """The tables (_shift_table) of the level translations r -> r+t of a
+    nat/int window that carry a resolution along: every t != 0 with
+    |t| <= hi-lo, in increasing order, if the unit shifts t = 1 and t = -1
+    each map every rule instance whose image stays in the window to a rule
+    instance and commute with reduce_once on it (_commutes), else none
+    (and none on a modular domain, whose rotations are letter maps).  A
+    translate of a word that stays in the window, an interval, is a chain
+    of unit shifts inside it, so every rewrite of the word commutes with
+    the translation."""
+    if rs.dom.kind == "mod" or not all(
+            _commutes(_shift_table(rs, levels, t), _SAME_RULE, rhs) for t in (1, -1)):
+        return []
     width = len(rs.dom.levels(levels)) - 1
-    return tuple(t for t in range(-width, width + 1) if t)
+    return [_shift_table(rs, levels, t) for t in range(-width, width + 1) if t]
 
 
 def _verified_grading(rs, levels):
@@ -632,14 +618,14 @@ def _key(word, ma, mb):
     return (word,) + tuple(sorted((ma, mb)))
 
 
-def _resolve(rs, inst, group, shifts, levels):
+def _resolve(rs, inst, group, shifts):
     """(Records of the unresolved ambiguities in report order, the number
     checked, the keys covered.)  Each ambiguity streamed from the group's
     representatives that is not yet covered is checked, and its images
-    under group, and their translates by shifts that stay in the window,
-    are covered.  These are ambiguities, and the stream meets every orbit,
-    so covered ends as the set of all of them."""
-    translations = [_shift_table(rs, levels, t) for t in shifts]
+    under group, and their translates by the tables in shifts
+    (_verified_shifts) that stay in the window, are covered.  These are
+    ambiguities, and the stream meets every orbit, so covered ends as the
+    set of all of them."""
     covered = set()
     unresolved = []
     checked = 0
@@ -656,7 +642,7 @@ def _resolve(rs, inst, group, shifts, levels):
             image = _image(table, word)
             a, b = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])
             covered.add(_key(image, a, b))
-            for shift in translations:
+            for shift in shifts:
                 if all(l in shift for l in image):
                     covered.add(_key(_image(shift, image), a, b))
     unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))

@@ -199,7 +199,4 @@ def run_suite(name, **overrides):
         raise ValueError("unknown suite %r (choose from %s)"
                          % (name, ", ".join(SUITE_NAMES)))
     fn = _SUITES[name]
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    if name not in ("axioms", "confluence"):
-        kwargs = {}
-    return fn(**kwargs)
+    return fn(**{k: v for k, v in overrides.items() if v is not None})

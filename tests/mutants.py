@@ -53,13 +53,21 @@ def double(terms, *_):
     return {t: 2 * c for t, c in terms.items()}
 
 
-def scale_level_one(terms, H, w):
-    """A coproduct edit: Delta scaled by 2 on the letters of level 1 and
-    extended multiplicatively, so a word with k letters of level 1 has 2^k
-    times its coproduct.  The level translations and the mod rotations do
-    not commute with it, while the flip of the window (0, 2) does."""
-    k = sum(r == 1 for _, _, r in w)
-    return {t: c << k for t, c in terms.items()}
+def scale_level(level):
+    """A coproduct edit: Delta scaled by 2 on the letters of the given level
+    and extended multiplicatively, so a word with k letters of that level
+    has 2^k times its coproduct.  The index permutations commute with it,
+    and the mod rotations do not."""
+    def edit(terms, H, w):
+        k = sum(r == level for _, _, r in w)
+        return {t: c << k for t, c in terms.items()}
+    return edit
+
+
+# The flip of the window (0, 2), r -> 2-r, fixes level 1 and swaps levels 0
+# and 2: it commutes with the first edit and not with the second.
+scale_level_one = scale_level(1)
+scale_level_zero = scale_level(0)
 
 
 def self_term(terms, H, w):

@@ -8,9 +8,9 @@ axiom residuals against a per-field comparison built on the package's
 structure maps, oracle_scan_gf2, which reads the package's word
 coproducts, oracle_check_confluence, which resolves every ambiguity
 with the package's rules and normal forms, and oracle_normal_form_word,
-the match-and-reduce loop that the step table of
-freehopf.rewrite.RuleSet.normal_form_word replaced, and
-oracle_find_primitives, the kernel on every basis word that the
+the match-and-reduce loop (on oracle_matches, every rule match of a word)
+that the step table of freehopf.rewrite.RuleSet.normal_form_word replaced,
+and oracle_find_primitives, the kernel on every basis word that the
 bi-weight (0,0) kernel of freehopf.analysis.find_primitives replaced.
 oracle_match_at, oracle_reduce_once, oracle_step_entry and
 oracle_rule_instances write the four rewriting rules out one by one, as the
@@ -557,10 +557,23 @@ def oracle_check_confluence(n, dom, levels=None):
     return ConfluenceReport(n, dom, levels, len(seen), unresolved, len(seen), 1)
 
 
+def oracle_matches(rs, w):
+    """All (rule, position) pairs matching w, sorted by position then rule,
+    by rs.match_at at every position; formerly RuleSet.matches, which no
+    package code called."""
+    out = []
+    for pos in range(len(w)):
+        for rule in (R1, R2, R3, R4):
+            if rs.match_at(w, rule, pos):
+                out.append((rule, pos))
+    out.sort(key=lambda m: (m[1], m[0]))
+    return out
+
+
 def oracle_normal_form_word(rs, w, cache=None):
     """Normal form of w by the loop that RuleSet.normal_form_word ran before
-    its step table: find the leftmost match (the first of rs.matches, so R1
-    before R2 before R3 before R4 at equal positions), rewrite it with
+    its step table: find the leftmost match (the first of oracle_matches,
+    so R1 before R2 before R3 before R4 at equal positions), rewrite it with
     rs.reduce_once at its position in the whole word, repeat.  Normal forms
     are kept in cache (a new dict by default), never in rs."""
     cache = {} if cache is None else cache
@@ -570,7 +583,7 @@ def oracle_normal_form_word(rs, w, cache=None):
         if u in cache:
             stack.pop()
             continue
-        found = rs.matches(u)
+        found = oracle_matches(rs, u)
         if not found:
             cache[u] = {u: 1}
             stack.pop()

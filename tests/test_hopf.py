@@ -10,7 +10,7 @@ from freehopf.hopf import Element, parse_variant
 from freehopf.words import UNIT, LevelDomain
 
 from mutants import (break_one, break_one_nat, double, drop_delta, drop_delta_r1, negate,
-                     patch_map, patch_reduce_once, scale_level_one, self_term)
+                     patch_map, patch_reduce_once, scale_level_one, scale_level_zero, self_term)
 from oracles import oracle_integer_certificate, oracle_verify_axioms
 
 
@@ -366,35 +366,40 @@ def test_certificate_fails_on_broken_rules(monkeypatch, edit, variant, levels, c
 
 
 def _certificate_maps(H):
-    """The verified letter maps and translation tables of H's certificate
-    window (0, 2)."""
+    """The rule instances of H's certificate window (0, 2) and the letter
+    maps verified on them."""
     rs = H.rules
     inst = rs.rule_instances((0, 2))
-    rhs = rewrite._instance_rhs(rs, inst)
-    shifts = [rewrite._shift_table(rs, (0, 2), t)
-              for t in rewrite._verified_shifts(rs, rhs, (0, 2))]
-    return inst, rewrite._verified_symmetries(rs, rhs, (0, 2)), shifts
+    return inst, rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), (0, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("variant", [variant for variant, _ in CERT_CONFIGS])
 def test_orbit_certificate_matches_the_all_instance_oracle(monkeypatch, n, variant):
     H = FreeHopfAlgebra(n, variant)
-    inst, group, shifts = _certificate_maps(H)
-    assert H._delta_commutes(group, shifts, (0, 2))
-    # one coproduct residual per orbit: 12 at n = 2 and 36 at n = 3, of
-    # 32 to 288 instances
-    orbits = [orbit for _, orbit in rewrite._representatives(inst, group, shifts)]
-    assert len(orbits) == {2: 12, 3: 36}[n] and sum(map(len, orbits)) == len(inst)
+    inst, group = _certificate_maps(H)
+    # every map permutes the letters of the window, so _delta_commutes can
+    # map the legs of Delta of a letter, which are letters of its level
+    letters = set(H.rules.alphabet((0, 2)))
+    assert all(table.keys() == set(table.values()) == letters for table, _ in group)
+    assert H._delta_commutes(group, (0, 2))
+    # one coproduct residual per orbit, of 32 to 288 instances; on ord the
+    # level rotations join the index permutations and the flip
+    orbits = [orbit for _, orbit in rewrite._representatives(inst, group)]
+    per_n = {2: 16, 3: 45} if variant in ("free", "bij") else {2: 12, 3: 36}
+    assert len(orbits) == per_n[n] and sum(map(len, orbits)) == len(inst)
     assert H._integer_certificate() == oracle_integer_certificate(H)
-    # scale_level_one keeps confluence but not the letter maps, so the
-    # certificate checks every instance; self_term keeps both and breaks
-    # step (b) orbit by orbit
-    for edit, commutes in ((scale_level_one, False), (self_term, True)):
+    # the scale_level edits keep confluence.  The letter maps commute with
+    # scale_level_one on free and bij, so the certificate checks it orbit
+    # by orbit, and not on ord, nor with scale_level_zero anywhere, so it
+    # checks every instance; self_term keeps both and breaks step (b)
+    # orbit by orbit
+    for edit, commutes in ((scale_level_one, variant in ("free", "bij")),
+                           (scale_level_zero, False), (self_term, True)):
         with monkeypatch.context() as m:
             patch_map(m, "_delta_terms", edit)
             H = FreeHopfAlgebra(n, variant)
-            assert H._delta_commutes(*_certificate_maps(H)[1:], (0, 2)) == commutes
+            assert H._delta_commutes(_certificate_maps(H)[1], (0, 2)) == commutes
             checks, work = H._integer_certificate()
             assert checks["delta"] and not checks["confluence"]
             assert (checks, work) == oracle_integer_certificate(H)
