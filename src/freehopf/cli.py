@@ -302,7 +302,7 @@ def main(argv=None):
     args = _parse_args(parser, argv)
     try:
         primary, payload, lines, code = _run(args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.as_json:

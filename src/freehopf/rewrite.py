@@ -18,14 +18,16 @@ All rule coefficients are integers, so a single word's normal form has
 integer coefficients no matter the ground field; normal forms are cached
 per (n, domain) and shared by every field.  Each rewrite step reads the
 leftmost rule match, and its right-hand side, from a per-RuleSet table of
-2- and 3-letter windows.
+2- and 3-letter windows.  A combination of words is rewritten as a whole,
+largest word first and with no cache (normal_form_int).
 
 Every same-length word on a right-hand side is strictly smaller than the
 left-hand side in the order that compares words of one length and one
 level sequence by their index sequences (i1, j1, i2, j2, ...) and leaves
 other same-length pairs incomparable; that is what makes the rewriting
 terminate; check_confluence certifies local confluence by resolving every
-concrete overlap and inclusion ambiguity inside a level window.  Every rule
+concrete overlap and inclusion ambiguity inside a level window, each by
+rewriting the difference of its two reductions to normal form.  Every rule
 also keeps the bi-weight of words (words.bi_weight); the primitive search
 relies on that only after _verified_grading has checked it on the window.
 """
@@ -261,9 +263,43 @@ class RuleSet:
         return cache[w]
 
     def normal_form_int(self, terms):
-        """Normal form of an integer combination {word: coeff}."""
-        nf = self.normal_form_word
-        return combine((c, nf(w)) for w, c in terms.items() if c)
+        """Normal form of an integer combination {word: coeff}, with no
+        cache: sum c * normal_form_word(w), as normal_form_word's leftmost
+        steps are taken one word at a time.
+
+        The combination is held in one dict per word length.  The longest
+        word, and among those the largest tuple, takes its step next, with
+        its merged coefficient; a word with no step is final.  A step gives
+        shorter words, or words of the same length and levels whose index
+        sequence, and so whose tuple, is smaller.  So no word comes back
+        once taken, and a term that cancels is never expanded.
+        """
+        top = max(map(len, terms), default=0)
+        by_len = [{} for _ in range(top + 1)]
+        for w, c in terms.items():
+            if c:
+                by_len[len(w)][w] = c
+        step = self._leftmost_step
+        out = {}
+        for bucket in reversed(by_len):
+            while bucket:
+                w = max(bucket)
+                c = bucket.pop(w)
+                found = step(w)
+                if found is None:
+                    out[w] = c
+                    continue
+                pos, width, rhs = found
+                pre, post = w[:pos], w[pos + width:]
+                for mid, d in rhs:
+                    v = pre + mid + post
+                    acc = by_len[len(v)]
+                    s = acc.get(v, 0) + c * d
+                    if s:
+                        acc[v] = s
+                    else:
+                        acc.pop(v, None)
+        return out
 
     # -- irreducible word enumeration --------------------------------------
 
@@ -446,8 +482,11 @@ def check_confluence(n, dom, levels=None):
     check is repeated with the trivial group and no translations, so every
     unresolved ambiguity is listed.
 
-    Normal forms are cached on a private RuleSet that is dropped with the
-    check; the shared rules_for cache is left as it was.
+    An ambiguity is decided by rewriting the difference of its two
+    reductions (normal_form_int), with no per-word cache; its two normal
+    forms are computed only if that difference is nonzero.  The step table
+    lives on a private RuleSet that is dropped with the check, so the
+    shared rules_for caches are left as they were.
     """
     if dom.kind == "mod":
         levels = None
@@ -553,8 +592,14 @@ def _commutes(table, rules, rhs):
     """Does the letter map table, acting on rule ids by rules, map every
     rule instance whose letters it maps to a rule instance, and commute
     with reduce_once on it?  rhs is _instance_rhs of the instances."""
-    return all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
-               for (rule, w), out in rhs.items() if table.keys() >= set(w))
+    for (rule, w), out in rhs.items():
+        try:
+            image = _image(table, w)
+        except KeyError:  # a letter the table does not map
+            continue
+        if rhs.get((rules[rule], image)) != _image_terms(table, out):
+            return False
+    return True
 
 
 def _verified_symmetries(rs, rhs, levels):
@@ -634,10 +679,10 @@ def _resolve(rs, inst, group, shifts):
         if _key(word, ma, mb) in covered:
             continue
         checked += 1
-        nf_a = rs.normal_form_int(rs.reduce_once(word, *ma))
-        nf_b = rs.normal_form_int(rs.reduce_once(word, *mb))
-        if nf_a != nf_b:
-            unresolved.append(AmbiguityRecord(word, ma, mb, nf_a, nf_b))
+        terms_a, terms_b = rs.reduce_once(word, *ma), rs.reduce_once(word, *mb)
+        if rs.normal_form_int(combine(((1, terms_a), (-1, terms_b)))):
+            unresolved.append(AmbiguityRecord(word, ma, mb, rs.normal_form_int(terms_a),
+                                              rs.normal_form_int(terms_b)))
         for table, rules in group:
             image = _image(table, word)
             a, b = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])

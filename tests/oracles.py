@@ -7,7 +7,10 @@ oracle_verify_axioms, which checks the field projection of the integer
 axiom residuals against a per-field comparison built on the package's
 structure maps, oracle_scan_gf2, which reads the package's word
 coproducts, oracle_check_confluence, which resolves every ambiguity
-with the package's rules and normal forms, and oracle_normal_form_word,
+with the package's rules and cached single-word normal forms
+(oracle_normal_form_int, the cached sum that
+freehopf.rewrite.RuleSet.normal_form_int replaced by one rewrite of the
+whole combination), and oracle_normal_form_word,
 the match-and-reduce loop (on oracle_matches, every rule match of a word)
 that the step table of freehopf.rewrite.RuleSet.normal_form_word replaced,
 and oracle_find_primitives, the kernel on every basis word that the
@@ -514,12 +517,20 @@ def oracle_integer_certificate(H):
     return checks, work
 
 
+def oracle_normal_form_int(rs, terms):
+    """Normal form of an integer combination {word: coeff} as the sum of
+    c * rs.normal_form_word(w), each word's normal form cached in rs: what
+    freehopf.rewrite.RuleSet.normal_form_int computed before it rewrote the
+    combination itself, largest word first, with no cache."""
+    return combine((c, rs.normal_form_word(w)) for w, c in terms.items() if c)
+
+
 def oracle_check_confluence(n, dom, levels=None):
     """The full confluence check that freehopf.rewrite.check_confluence
     replaced: test every ordered pair of rule instances at every shift and
-    compute both normal forms of every ambiguity.  It runs on a private
-    RuleSet, so a patched rule set leaves no normal forms in the shared
-    cache."""
+    compute both normal forms of every ambiguity (oracle_normal_form_int).
+    It runs on a private RuleSet, so a patched rule set leaves no normal
+    forms in the shared cache."""
     if dom.kind == "mod":
         levels = None
     else:
@@ -549,8 +560,8 @@ def oracle_check_confluence(n, dom, levels=None):
             if key in seen:
                 continue
             seen.add(key)
-            nf_a = rs.normal_form_int(rs.reduce_once(word, ra, 0))
-            nf_b = rs.normal_form_int(rs.reduce_once(word, rb, s))
+            nf_a = oracle_normal_form_int(rs, rs.reduce_once(word, ra, 0))
+            nf_b = oracle_normal_form_int(rs, rs.reduce_once(word, rb, s))
             if nf_a != nf_b:
                 unresolved.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a, nf_b))
     unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))

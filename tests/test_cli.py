@@ -75,6 +75,13 @@ def test_confluence_level_window(capsys):
     assert doc["work"] == {"checked": 70, "symmetries": 4}
 
 
+def test_confluence_n_too_large_is_an_input_error(capsys):
+    # the rule instances range over more indices than a C size holds
+    code, out, err = run(capsys, "confluence", "--n", str(10 ** 20))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_and_parse_errors(capsys):
     code, _, err = run(capsys, "mul", "x[9,9;0]", "x[1,1;0]")
     assert code == 2 and "error:" in err

@@ -8,6 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from freehopf import rewrite
+from freehopf.linalg import combine
 from freehopf.rewrite import R1, R2, R3, R4, RuleSet, check_confluence, rules_for
 from freehopf.words import LevelDomain
 
@@ -15,8 +16,9 @@ from mutants import (break_grading, break_one, break_one_nat, double_first_index
                      double_selected, drop_delta, drop_delta_r1, patch_reduce_once)
 from oracles import (Ordering, compare_words, oracle_ambiguities, oracle_check_confluence,
                      oracle_irreducible_count, oracle_match_at, oracle_matches,
-                     oracle_normal_form_word, oracle_reduce_once, oracle_reducible,
-                     oracle_rule_instances, oracle_step_entry, oracle_verified_symmetries)
+                     oracle_normal_form_int, oracle_normal_form_word, oracle_reduce_once,
+                     oracle_reducible, oracle_rule_instances, oracle_step_entry,
+                     oracle_verified_symmetries)
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()
@@ -460,6 +462,40 @@ def test_confluence_leaves_shared_cache_alone():
     before = len(rs._nf)
     check_confluence(3, MOD2)
     assert len(rs._nf) == before
+
+
+def _assert_same_normal_forms(n, dom, window):
+    # on both reductions of every ambiguity, and on their difference, the
+    # rewrite of the whole combination gives the cached sum; it leaves the
+    # per-word cache of its own RuleSet empty
+    rs, cached = RuleSet(n, dom), RuleSet(n, dom)
+    for word, ma, mb in oracle_ambiguities(rs.rule_instances(window)):
+        a, b = rs.reduce_once(word, *ma), rs.reduce_once(word, *mb)
+        for terms in (a, b, combine(((1, a), (-1, b)))):
+            assert rs.normal_form_int(terms) == oracle_normal_form_int(cached, terms)
+    assert rs._nf == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dom,window", [(NAT, (0, 6)), (MOD2, None), (MOD4, None)])
+def test_normal_form_int_is_the_cached_sum(n, dom, window):
+    _assert_same_normal_forms(n, dom, window)
+
+
+@pytest.mark.parametrize("edit,n,dom,window", [
+    (drop_delta, 2, MOD2, None), (drop_delta, 2, NAT, (0, 6)),
+    (break_one, 2, MOD4, None), (break_one_nat, 2, NAT, (0, 6)),
+    (break_grading, 2, NAT, (0, 6)), (double_first_index_1, 3, MOD4, None),
+])
+def test_normal_form_int_is_the_cached_sum_under_broken_rules(monkeypatch, edit, n, dom, window):
+    # the rules are not confluent, so the strategy matters: the rewrite of
+    # the whole combination must take the leftmost steps that the cached
+    # sum takes, and the unresolved records must be the oracle's
+    patch_reduce_once(monkeypatch, edit)
+    _assert_same_normal_forms(n, dom, window)
+    unresolved = check_confluence(n, dom, window).unresolved
+    assert unresolved
+    assert unresolved == oracle_check_confluence(n, dom, window).unresolved
 
 
 def _assert_same_report(report, oracle):
