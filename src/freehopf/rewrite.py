@@ -14,12 +14,13 @@ R2 and R4 are their transposes, x[i,j;.] -> x[j,i;.] in every letter with
 the levels read downwards; R2 is x[n,i;r'] * x[n,j;r] -> d(i,j) - sum_{a<n}
 x[a,i;r']*x[a,j;r].  RuleSet reads all four from one table, _RULES.
 
-All rule coefficients are integers, so a single word's normal form has
-integer coefficients no matter the ground field; normal forms are cached
-per (n, domain) and shared by every field.  Each rewrite step reads the
-leftmost rule match, and its right-hand side, from a per-RuleSet table of
-2- and 3-letter windows.  A combination of words is rewritten as a whole,
-largest word first and with no cache (normal_form_int).
+All rule coefficients are integers, so a normal form has integer
+coefficients no matter the ground field.  One loop computes normal forms:
+normal_form_int rewrites a combination of words as a whole, largest word
+first and with no cache, each step at the leftmost rule match, read with
+its right-hand side from a per-RuleSet table of 2- and 3-letter windows.
+normal_form_word memoises it on the single words asked for, per
+(n, domain) and shared by every field.
 
 Every same-length word on a right-hand side is strictly smaller than the
 left-hand side in the order that compares words of one length and one
@@ -49,6 +50,15 @@ _RULES = {R1: (2, 1), R2: (2, 0), R3: (3, 1), R4: (3, 0)}
 _BY_LENGTH = {2: (R1, R2), 3: (R3, R4)}
 
 _RULESETS = {}
+
+# Largest matrix size accepted.  One level holds n^2 letters, and the
+# coproduct of a word of length L sums over n^L choices of middle indices:
+# at n = 100 a level holds 10^4 letters and the coproduct of a 2-letter
+# word 10^4 terms, about the most one call handles in a second.  Every n
+# in use lies far below (the tests and suites use n <= 5, confluence runs
+# go to n = 8 and aim at n = 10); a larger n is refused before any list
+# over the letters is built.
+MAX_N = 100
 
 
 def rules_for(n, dom):
@@ -105,8 +115,9 @@ class RuleSet:
     """Matching and reduction for a fixed n >= 2 and level domain."""
 
     def __init__(self, n, dom):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("matrix coalgebra size must be an integer n >= 2, got %r" % (n,))
+        if not isinstance(n, int) or not 2 <= n <= MAX_N:
+            raise ValueError("matrix coalgebra size must be an integer 2 <= n <= %d, got %r"
+                             % (MAX_N, n))
         if not isinstance(dom, LevelDomain):
             raise TypeError("dom must be a LevelDomain")
         self.n = n
@@ -227,45 +238,19 @@ class RuleSet:
     # -- normal forms ------------------------------------------------------
 
     def normal_form_word(self, w):
-        """Integer-coefficient normal form of a single word, cached.
-
-        Strategy: repeatedly rewrite the leftmost match (R1 before R2 before
-        R3 before R4 at equal positions), read from the step table.
-        Confluence makes the strategy irrelevant for the result.
-        """
-        cache = self._nf
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
-        step = self._leftmost_step
-        stack = [(w, None)]  # (word, its expansion once found)
-        while stack:
-            u, expansion = stack[-1]
-            if u in cache:
-                stack.pop()
-                continue
-            if expansion is None:
-                found = step(u)
-                if found is None:
-                    cache[u] = {u: 1}
-                    stack.pop()
-                    continue
-                pos, width, rhs = found
-                pre, post = u[:pos], u[pos + width:]
-                expansion = [(pre + mid + post, c) for mid, c in rhs]
-                pending = [(v, None) for v, _ in expansion if v not in cache]
-                if pending:
-                    stack[-1] = (u, expansion)
-                    stack.extend(pending)
-                    continue
-            cache[u] = combine((c, cache[v]) for v, c in expansion)
-            stack.pop()
-        return cache[w]
+        """Integer-coefficient normal form of a single word: normal_form_int
+        of {w: 1}, memoised per RuleSet for the words asked for here."""
+        nf = self._nf.get(w)
+        if nf is None:
+            nf = self._nf[w] = self.normal_form_int({w: 1})
+        return nf
 
     def normal_form_int(self, terms):
         """Normal form of an integer combination {word: coeff}, with no
-        cache: sum c * normal_form_word(w), as normal_form_word's leftmost
-        steps are taken one word at a time.
+        cache, by the leftmost strategy: each word is rewritten at its
+        leftmost match (R1 before R2 before R3 before R4 at equal
+        positions), read from the step table.  Confluence makes the
+        strategy irrelevant for the result.
 
         The combination is held in one dict per word length.  The longest
         word, and among those the largest tuple, takes its step next, with

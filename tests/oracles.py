@@ -10,10 +10,12 @@ coproducts, oracle_check_confluence, which resolves every ambiguity
 with the package's rules and cached single-word normal forms
 (oracle_normal_form_int, the cached sum that
 freehopf.rewrite.RuleSet.normal_form_int replaced by one rewrite of the
-whole combination), and oracle_normal_form_word,
-the match-and-reduce loop (on oracle_matches, every rule match of a word)
-that the step table of freehopf.rewrite.RuleSet.normal_form_word replaced,
-and oracle_find_primitives, the kernel on every basis word that the
+whole combination), and oracle_normal_form_word, which those single-word
+normal forms come from: the match-and-reduce loop (on oracle_matches,
+every rule match of a word) that the package replaced by the step table
+and then by the one whole-combination rewrite, which
+freehopf.rewrite.RuleSet.normal_form_word now memoises; and
+oracle_find_primitives, the kernel on every basis word that the
 bi-weight (0,0) kernel of freehopf.analysis.find_primitives replaced.
 oracle_match_at, oracle_reduce_once, oracle_step_entry and
 oracle_rule_instances write the four rewriting rules out one by one, as the
@@ -517,20 +519,21 @@ def oracle_integer_certificate(H):
     return checks, work
 
 
-def oracle_normal_form_int(rs, terms):
+def oracle_normal_form_int(rs, terms, cache):
     """Normal form of an integer combination {word: coeff} as the sum of
-    c * rs.normal_form_word(w), each word's normal form cached in rs: what
+    c * oracle_normal_form_word(rs, w, cache), each word's normal form kept
+    in cache, a dict the caller shares between calls: what
     freehopf.rewrite.RuleSet.normal_form_int computed before it rewrote the
     combination itself, largest word first, with no cache."""
-    return combine((c, rs.normal_form_word(w)) for w, c in terms.items() if c)
+    return combine((c, oracle_normal_form_word(rs, w, cache)) for w, c in terms.items() if c)
 
 
 def oracle_check_confluence(n, dom, levels=None):
     """The full confluence check that freehopf.rewrite.check_confluence
     replaced: test every ordered pair of rule instances at every shift and
-    compute both normal forms of every ambiguity (oracle_normal_form_int).
-    It runs on a private RuleSet, so a patched rule set leaves no normal
-    forms in the shared cache."""
+    compute both normal forms of every ambiguity (oracle_normal_form_int,
+    with one cache for the whole check).  It runs on a private RuleSet, so
+    a patched rule set leaves nothing in the shared caches."""
     if dom.kind == "mod":
         levels = None
     else:
@@ -543,6 +546,7 @@ def oracle_check_confluence(n, dom, levels=None):
     inst = rs.rule_instances(levels)
     seen = set()
     unresolved = []
+    cache = {}
     for (ra, wa), (rb, wb) in iproduct(inst, inst):
         la, lb = len(wa), len(wb)
         for s in range(la):
@@ -560,8 +564,8 @@ def oracle_check_confluence(n, dom, levels=None):
             if key in seen:
                 continue
             seen.add(key)
-            nf_a = oracle_normal_form_int(rs, rs.reduce_once(word, ra, 0))
-            nf_b = oracle_normal_form_int(rs, rs.reduce_once(word, rb, s))
+            nf_a = oracle_normal_form_int(rs, rs.reduce_once(word, ra, 0), cache)
+            nf_b = oracle_normal_form_int(rs, rs.reduce_once(word, rb, s), cache)
             if nf_a != nf_b:
                 unresolved.append(AmbiguityRecord(word, (ra, 0), (rb, s), nf_a, nf_b))
     unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
@@ -583,10 +587,11 @@ def oracle_matches(rs, w):
 
 def oracle_normal_form_word(rs, w, cache=None):
     """Normal form of w by the loop that RuleSet.normal_form_word ran before
-    its step table: find the leftmost match (the first of oracle_matches,
-    so R1 before R2 before R3 before R4 at equal positions), rewrite it with
-    rs.reduce_once at its position in the whole word, repeat.  Normal forms
-    are kept in cache (a new dict by default), never in rs."""
+    its step table and its rewrite of whole combinations: find the leftmost
+    match (the first of oracle_matches, so R1 before R2 before R3 before R4
+    at equal positions), rewrite it with rs.reduce_once at its position in
+    the whole word, repeat.  Normal forms are kept in cache (a new dict by
+    default), never in rs."""
     cache = {} if cache is None else cache
     stack = [w]
     while stack:

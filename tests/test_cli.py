@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from freehopf.cli import main
+from freehopf.hopf import FreeHopfAlgebra
+from freehopf.rewrite import MAX_N, RuleSet
 
 
 def run(capsys, *argv):
@@ -76,10 +78,26 @@ def test_confluence_level_window(capsys):
 
 
 def test_confluence_n_too_large_is_an_input_error(capsys):
-    # the rule instances range over more indices than a C size holds
+    # refused at the ceiling on n, before the rule instances are listed
     code, out, err = run(capsys, "confluence", "--n", str(10 ** 20))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _refuse_letter_lists(*args, **kwargs):
+    raise AssertionError("a list over the letters was built")
+
+
+@pytest.mark.parametrize("argv", [("axioms",), ("delta", "x[1,1;0]")])
+def test_n_above_the_ceiling_is_an_input_error(monkeypatch, capsys, argv):
+    # refused when the rules are built, before the n^2 letters of a level
+    # (alphabet) or the n middle indices per letter (_delta_terms) are listed
+    monkeypatch.setattr(RuleSet, "alphabet", _refuse_letter_lists)
+    monkeypatch.setattr(FreeHopfAlgebra, "_delta_terms", _refuse_letter_lists)
+    code, out, err = run(capsys, *argv, "--n", str(10 ** 20))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "2 <= n <= %d" % MAX_N in err
 
 
 def test_usage_and_parse_errors(capsys):

@@ -306,6 +306,14 @@ def test_a_dropped_rule_set_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_normal_form_word_caches_only_requested_words():
+    # the memo keeps the word asked for, not the words its rewrite passes
+    rs = RuleSet(2, NAT)
+    w = ((2, 2, 0), (2, 2, 1), (1, 2, 2))
+    rs.normal_form_word(w)
+    assert list(rs._nf) == [w]
+
+
 def test_normal_form_int_linearity():
     rs = rules_for(2, NAT)
     a = ((1, 2, 0), (2, 2, 1))
@@ -466,14 +474,17 @@ def test_confluence_leaves_shared_cache_alone():
 
 def _assert_same_normal_forms(n, dom, window):
     # on both reductions of every ambiguity, and on their difference, the
-    # rewrite of the whole combination gives the cached sum; it leaves the
-    # per-word cache of its own RuleSet empty
-    rs, cached = RuleSet(n, dom), RuleSet(n, dom)
+    # rewrite of the whole combination gives the oracle's cached sum, and
+    # so does the memo on the ambiguity word; the memo ends with the words
+    # asked of it alone
+    rs, cache, words = RuleSet(n, dom), {}, set()
     for word, ma, mb in oracle_ambiguities(rs.rule_instances(window)):
         a, b = rs.reduce_once(word, *ma), rs.reduce_once(word, *mb)
         for terms in (a, b, combine(((1, a), (-1, b)))):
-            assert rs.normal_form_int(terms) == oracle_normal_form_int(cached, terms)
-    assert rs._nf == {}
+            assert rs.normal_form_int(terms) == oracle_normal_form_int(rs, terms, cache)
+        assert rs.normal_form_word(word) == oracle_normal_form_word(rs, word, cache)
+        words.add(word)
+    assert rs._nf.keys() == words
 
 
 @pytest.mark.parametrize("n", [2, 3])
