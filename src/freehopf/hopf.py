@@ -26,9 +26,9 @@ max_len <= 1 (then the words are the letters, which it checks anyway).
 The certificate's integer gcds are computed once per RuleSet and the
 sweep's on each call; both are projected to each field.  Its coproduct
 check runs once per orbit of the rule instances under the letter maps that
-rewrite verifies, when the rules are confluent and Delta commutes with
-those maps on the letters (up to the flip's twist of the legs), and on
-every instance otherwise.
+rewrite verifies, keyed as in its confluence check, when the rules are
+confluent and Delta commutes with their generators on the letters (up to
+the flip's twist of the legs), and on every instance otherwise.
 
 The maps on elements are linalg.combine over the single-word maps, with
 the field's values in place of integers and its characteristic as the
@@ -47,7 +47,7 @@ from math import gcd
 
 from .fields import Field
 from .linalg import combine
-from .rewrite import (R1, RULE_NAMES, _image, _instance_rhs, _representatives,
+from .rewrite import (R1, RULE_NAMES, _image, _instance_rhs, _orbit_firsts,
                       _verified_symmetries, check_confluence, rules_for)
 from .words import UNIT, LevelDomain, letter, storage_key, word_str
 
@@ -343,14 +343,14 @@ class FreeHopfAlgebra:
         once per RuleSet, and an item fails over GF(p) iff p does not
         divide that gcd (over Q, iff it is nonzero).
 
-        The delta residual is computed once per orbit of the rule instances
-        (_integer_certificate).  The orbits come from the letter maps alone:
-        those that rewrite._verified_symmetries accepts on the instances
-        (index permutations, the flip x[i,j;r] -> x[j,i;c-r], the mod
-        rotations), each a permutation of the window's letters.  Such a map
-        g is an algebra map on the letters, and Delta is multiplicative, so
+        The delta residual is computed on the first instance of each orbit
+        of the letter maps (rewrite._orbit_firsts, keyed as in
+        check_confluence): index permutations, the flip x[i,j;r] ->
+        x[j,i;c-r], the mod rotations, if rewrite._verified_symmetries
+        accepts their generators.  Such a map g permutes the window's
+        letters and is an algebra map, and Delta is multiplicative, so
         Delta g = (g(x)g) Delta, or tau (g(x)g) Delta for the flip (tau
-        swaps the legs), as soon as that holds on the letters
+        swaps the legs), once that holds for the generators on the letters
         (_delta_commutes).  Once confluence holds, nf g = g nf.  So the
         residual of g(lhs) -> g(rhs) is that of lhs -> rhs with its keys
         permuted, and has the same gcd.  If confluence or the check on the
@@ -401,21 +401,22 @@ class FreeHopfAlgebra:
         window = (0, 2)  # ignored on a modular domain
         instances = rules.rule_instances(window)
         rhs = _instance_rhs(rules, instances)  # for the symmetry checks and (b)
-        group = _verified_symmetries(rules, rhs, window)
-        if not (confluence.ok and self._delta_commutes(group, window)):
-            group = group[:1]  # the identity alone: every instance
+        gens = _verified_symmetries(rules, rhs, window)
+        if not (confluence.ok and self._delta_commutes(gens, window)):
+            gens = []  # the identity alone: every instance
+        first = _orbit_firsts(rules, instances, window, gens)
         orbit_gcd = {}
-        for (rule, lhs), orbit in _representatives(instances, group):
+        for rule, lhs in dict.fromkeys(first.values()):
             d = combine(((-c, self._delta_terms(u)) for u, c in rhs[rule, lhs].items()),
                         self._delta_terms(lhs))
-            orbit_gcd.update(dict.fromkeys(orbit, gcd(*d.values())))
+            orbit_gcd[rule, lhs] = gcd(*d.values())
         delta, counit, anti = [], [], []
         for rule, lhs in instances:
             out = rhs[rule, lhs]
             label = "%s %s" % (RULE_NAMES[rule], word_str(lhs))
             e = self.counit_word(lhs) - sum(c * self.counit_word(u) for u, c in out.items())
             s = combine(((-1, self.antipode_int(out)),), self.antipode_int({lhs: 1}))
-            for check, g in ((delta, orbit_gcd[rule, lhs]), (counit, abs(e)),
+            for check, g in ((delta, orbit_gcd[first[rule, lhs]]), (counit, abs(e)),
                              (anti, gcd(*s.values()))):
                 if g:
                     check.append((label, g))

@@ -35,9 +35,9 @@ relies on that only after _verified_grading has checked it on the window.
 
 import weakref
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
+from math import factorial, perm
 
-from .linalg import combine
 from .words import UNIT, LevelDomain, bi_weight, can_return, storage_key, word_str
 
 R1, R2, R3, R4 = 1, 2, 3, 4
@@ -449,23 +449,31 @@ def check_confluence(n, dom, levels=None):
     The candidate letter maps are the permutations of the indices 1..n-2,
     the flip x[i,j;r] -> x[j,i;c-r] (c = lo+hi on a window, 0 mod m; it
     swaps R1 with R2 and R3 with R4 and keeps match positions), the mod
-    level rotations r -> r+1, and their products.  If the generators of
-    that group map the rule instances onto themselves and commute with
-    reduce_once on every instance, so does every candidate, and all are
-    used, else the identity alone (_verified_symmetries).  On a nat/int
-    window the translations r -> r+t join them if the unit shifts pass the
-    same test where their images stay in the window (_verified_shifts).
-    Such a map carries a resolution of an ambiguity to one of its image.
-    Ambiguities are streamed from one rule instance per letter-map orbit
-    (_ambiguities), not per translation orbit: an overlap that reaches
-    below a translated instance may have no translate inside the window.
-    The first streamed member of each orbit of the maps is checked and
-    the rest marked as covered (_resolve).  So `total` counts every
-    ambiguity, and `checked` the orbits, whichever members were streamed.
-    If every checked ambiguity resolves, so does every one, and the rules
-    are confluent on the window by Bergman's diamond lemma.  If not, the
-    check is repeated with the trivial group and no translations, so every
-    unresolved ambiguity is listed.
+    rotations r -> r+1 and their products.  All are used if the generators
+    map the rule instances onto themselves and commute with reduce_once on
+    each (_verified_symmetries); on a nat/int window the translations
+    r -> r+t join them if the unit shifts pass the same test inside the
+    window (_verified_shifts).  Such a map carries a resolution of an
+    ambiguity to one of its image.
+
+    An orbit of the maps other than the flip has one key (_canonical):
+    rotate the levels so that the first letter sits at level 0, or
+    translate them so that the lowest is lo, then rename the indices
+    1..n-2 in order of first appearance.  Index permutations move no level
+    and rotations and translations no index, so the steps commute, and a
+    word and its images get one key, distinct orbits distinct keys.  The
+    flip normalises that group, so an orbit of the whole group joins the
+    key's orbit and the flip image's, of equal size: (n-2)!/(n-2-k)! for
+    the k distinct indices <= n-2 of the word, times m rotations or the
+    hi-lo+1-span translates that fit.  Ambiguities are streamed from the
+    first rule instance of each letter-map orbit (_ambiguities), not of
+    each translation orbit: an overlap that reaches below a translated
+    instance may have no translate inside the window.  The first streamed
+    member of each orbit is checked (_resolve), so `total` counts every
+    ambiguity and `checked` the orbits.  If every checked ambiguity
+    resolves, so does every one, and the rules are confluent on the window
+    by Bergman's diamond lemma.  If not, the check is repeated with the
+    identity alone, so every unresolved ambiguity is listed.
 
     An ambiguity is decided by rewriting the difference of its two
     reductions (normal_form_int), with no per-word cache; its two normal
@@ -484,26 +492,14 @@ def check_confluence(n, dom, levels=None):
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(levels)
     rhs = _instance_rhs(rs, inst)
-    group = _verified_symmetries(rs, rhs, levels)
-    shifts = _verified_shifts(rs, rhs, levels)
-    del rhs  # freed before _resolve, whose normal forms set the peak memory
-    unresolved, checked, covered = _resolve(rs, inst, group, shifts)
-    if (len(group) > 1 or shifts) and unresolved:
-        group, shifts = group[:1], []  # the identity alone
-        unresolved, checked, covered = _resolve(rs, inst, group, shifts)
-    return ConfluenceReport(n, dom, levels, len(covered), unresolved, checked, len(group))
-
-
-def _representatives(inst, group):
-    """(first, orbit) for each orbit of the rule instances under the group
-    of letter maps, in instance order: first is the orbit's first
-    instance, and orbit the set of its images."""
-    marked = set()
-    for ra, wa in inst:
-        if (ra, wa) not in marked:
-            orbit = {(rules[ra], _image(table, wa)) for table, rules in group}
-            marked |= orbit
-            yield (ra, wa), orbit
+    gens = _verified_symmetries(rs, rhs, levels)
+    shift = _verified_shifts(rs, rhs, levels)
+    unresolved, checked, total = _resolve(rs, inst, rhs, levels, gens, shift)
+    if (gens or shift) and unresolved:
+        gens, shift = [], False  # the identity alone
+        unresolved, checked, total = _resolve(rs, inst, rhs, levels, gens, shift)
+    order = 2 * factorial(n - 2) * (dom.modulus if dom.kind == "mod" else 1) if gens else 1
+    return ConfluenceReport(n, dom, levels, total, unresolved, checked, order)
 
 
 def _ambiguities(inst, firsts):
@@ -539,35 +535,6 @@ def _image(table, w):
     return tuple(map(table.__getitem__, w))
 
 
-def _image_terms(table, terms):
-    get = table.__getitem__
-    return {tuple(map(get, w)): c for w, c in terms.items()}
-
-
-def _candidate_symmetries(rs, levels):
-    """(letter table, rule map) of each candidate symmetry, identity first,
-    and the positions of the group's generators (_verified_symmetries)."""
-    n, dom, wrap = rs.n, rs.dom, rs.dom.canon
-    if dom.kind == "mod":
-        shifts, centre = range(dom.modulus), 0
-    else:
-        lvls = dom.levels(levels)
-        shifts, centre = (0,), lvls[0] + lvls[-1]
-    letters = rs.alphabet(levels)
-    ident = tuple(range(1, n - 1))
-    out, gens = [], [1, 2][:len(shifts)]  # the flip at 1, the rotation at 2
-    for perm in permutations(ident):
-        if perm != ident and perm in (ident[1::-1] + ident[2:], ident[1:] + ident[:1]):
-            gens.append(len(out))
-        p = (0,) + perm + (n - 1, n)
-        for t in shifts:
-            out.append(({(i, j, r): (p[i], p[j], wrap(r + t)) for i, j, r in letters},
-                        _SAME_RULE))
-            out.append(({(i, j, r): (p[j], p[i], wrap(centre + t - r)) for i, j, r in letters},
-                        _FLIP_RULE))
-    return out, gens
-
-
 def _instance_rhs(rs, inst):
     """reduce_once of each rule instance, keyed by (rule, word)."""
     return {(rule, w): rs.reduce_once(w, rule, 0) for rule, w in inst}
@@ -577,52 +544,47 @@ def _commutes(table, rules, rhs):
     """Does the letter map table, acting on rule ids by rules, map every
     rule instance whose letters it maps to a rule instance, and commute
     with reduce_once on it?  rhs is _instance_rhs of the instances."""
+    get = table.__getitem__
     for (rule, w), out in rhs.items():
         try:
-            image = _image(table, w)
+            image = tuple(map(get, w))
         except KeyError:  # a letter the table does not map
             continue
-        if rhs.get((rules[rule], image)) != _image_terms(table, out):
+        if rhs.get((rules[rule], image)) != {tuple(map(get, t)): c for t, c in out.items()}:
             return False
     return True
 
 
 def _verified_symmetries(rs, rhs, levels):
-    """Every candidate, identity first, if each generator of the
-    candidates maps every rule instance to a rule instance and commutes
-    with reduce_once on it (_commutes), else the identity alone.  The
-    candidates are the group generated by a transposition and an
-    (n-2)-cycle of the indices 1..n-2, the flip and, mod m, the rotation
-    r -> r+1, and products of such maps are such maps: if the generators
-    pass, every candidate does."""
-    candidates, gens = _candidate_symmetries(rs, levels)
-    if all(_commutes(*candidates[i], rhs) for i in gens):
-        return candidates
-    return candidates[:1]
-
-
-def _shift_table(rs, levels, t):
-    """The translation r -> r+t on the letters of the window it keeps there."""
-    lvls = rs.dom.levels(levels)
-    return {(i, j, r): (i, j, r + t) for i, j, r in rs.alphabet(levels)
-            if lvls[0] <= r + t <= lvls[-1]}
+    """(letter table, rule map) of the generators of the candidate letter
+    maps on the window's letters: the flip, the mod rotation r -> r+1 and,
+    where they move an index, the transposition (1 2) and the cycle
+    (1 2 ... n-2); or [] (the identity alone) unless each commutes with the
+    rules (_commutes), as then does every product of them."""
+    n, dom, wrap = rs.n, rs.dom, rs.dom.canon
+    lvls, letters = dom.levels(levels), rs.alphabet(levels)
+    centre = 0 if dom.kind == "mod" else lvls[0] + lvls[-1]
+    gens = [({(i, j, r): (j, i, wrap(centre - r)) for i, j, r in letters}, _FLIP_RULE)]
+    if dom.kind == "mod":
+        gens.append(({(i, j, r): (i, j, wrap(r + 1)) for i, j, r in letters}, _SAME_RULE))
+    ident = tuple(range(n + 1))
+    perms = (0, 2, 1) + ident[3:], (0,) + ident[2:n - 1] + (1, n - 1, n)
+    for p in dict.fromkeys(perms) if n >= 4 else ():  # one table at n = 4
+        gens.append(({(i, j, r): (p[i], p[j], r) for i, j, r in letters}, _SAME_RULE))
+    return gens if all(_commutes(table, rules, rhs) for table, rules in gens) else []
 
 
 def _verified_shifts(rs, rhs, levels):
-    """The tables (_shift_table) of the level translations r -> r+t of a
-    nat/int window that carry a resolution along: every t != 0 with
-    |t| <= hi-lo, in increasing order, if the unit shifts t = 1 and t = -1
-    each map every rule instance whose image stays in the window to a rule
-    instance and commute with reduce_once on it (_commutes), else none
-    (and none on a modular domain, whose rotations are letter maps).  A
-    translate of a word that stays in the window, an interval, is a chain
-    of unit shifts inside it, so every rewrite of the word commutes with
-    the translation."""
-    if rs.dom.kind == "mod" or not all(
-            _commutes(_shift_table(rs, levels, t), _SAME_RULE, rhs) for t in (1, -1)):
-        return []
-    width = len(rs.dom.levels(levels)) - 1
-    return [_shift_table(rs, levels, t) for t in range(-width, width + 1) if t]
+    """Do the level translations r -> r+t of a nat/int window carry a
+    resolution along?  True iff the unit shifts t = 1 and t = -1 commute
+    with the rules (_commutes) where their images stay in the window, an
+    interval, so that a translate inside it is a chain of unit shifts
+    inside it; False mod m, where the rotations are letter maps."""
+    if rs.dom.kind == "mod":
+        return False
+    lvls, letters = rs.dom.levels(levels), rs.alphabet(levels)
+    return all(_commutes({(i, j, r): (i, j, r + t) for i, j, r in letters
+                          if lvls[0] <= r + t <= lvls[-1]}, _SAME_RULE, rhs) for t in (1, -1))
 
 
 def _verified_grading(rs, levels):
@@ -643,37 +605,86 @@ def _verified_grading(rs, levels):
     return ok
 
 
+def _canonical(rs, levels, sym, shift):
+    """canon(w) -> (the key word of w's orbit under the verified maps other
+    than the flip, the size of that orbit), as in check_confluence; sym
+    and shift tell whether the letter maps and the translations passed."""
+    n, lvls = rs.n, rs.dom.levels(levels)
+    m = rs.dom.modulus if sym and rs.dom.kind == "mod" else 0
+    top = n - 2 if sym else 0  # the indices 1..top are renamed
+    per = [perm(n - 2, k) * (m or 1) for k in range(n - 1)]
+
+    def canon(w):  # a plain loop: it runs on every streamed ambiguity
+        base, size = (w[0][2] if m else 0), 1
+        if shift:
+            low = min([l[2] for l in w])
+            base, size = low - lvls[0], len(lvls) + low - max([l[2] for l in w])
+        names, out = {}, []  # a new index takes the next free name
+        for i, j, r in w:
+            if i <= top:
+                i = names.setdefault(i, len(names) + 1)
+            if j <= top:
+                j = names.setdefault(j, len(names) + 1)
+            out.append((i, j, (r - base) % m if m else r - base))
+        return tuple(out), size * per[len(names)]
+    return canon
+
+
+def _orbit_firsts(rs, inst, levels, gens):
+    """{instance: the first instance of its orbit} for the rule instances
+    (rule, word) under the letter maps that gens (_verified_symmetries,
+    gens[0] the flip) generate: an instance starts an orbit unless its key
+    (_canonical) or its flip image's is taken."""
+    canon = _canonical(rs, levels, gens, False)
+    firsts, out = {}, {}
+    for rule, w in inst:
+        key = (rule, canon(w)[0])
+        if key not in firsts and gens:
+            firsts[_FLIP_RULE[rule], canon(_image(gens[0][0], w))[0]] = (rule, w)
+        out[rule, w] = firsts.setdefault(key, (rule, w))
+    return out
+
+
 def _key(word, ma, mb):
     """One key per ambiguity, whichever of its matches comes first."""
     return (word,) + tuple(sorted((ma, mb)))
 
 
-def _resolve(rs, inst, group, shifts):
+def _resolve(rs, inst, rhs, levels, gens, shift):
     """(Records of the unresolved ambiguities in report order, the number
-    checked, the keys covered.)  Each ambiguity streamed from the group's
-    representatives that is not yet covered is checked, and its images
-    under group, and their translates by the tables in shifts
-    (_verified_shifts) that stay in the window, are covered.  These are
-    ambiguities, and the stream meets every orbit, so covered ends as the
-    set of all of them."""
-    covered = set()
+    checked, the number of ambiguities.)  A streamed ambiguity whose key
+    (_canonical) is new is checked; its key and its flip image's are taken
+    and their orbits' sizes added to the total.  Its reductions are read
+    off rhs (_instance_rhs) as pre + mid + post."""
+    first = _orbit_firsts(rs, inst, levels, gens)
+    canon = _canonical(rs, levels, gens, shift)
+    seen = set()
     unresolved = []
-    checked = 0
-    firsts = (first for first, _ in _representatives(inst, group))
-    for word, ma, mb in _ambiguities(inst, firsts):
-        if _key(word, ma, mb) in covered:
+    checked = total = 0
+    for word, ma, mb in _ambiguities(inst, [a for a, f in first.items() if a == f]):
+        cw, size = canon(word)
+        key = _key(cw, ma, mb)
+        if key in seen:
             continue
+        seen.add(key)
+        if gens:
+            key = _key(canon(_image(gens[0][0], word))[0], (_FLIP_RULE[ma[0]], ma[1]),
+                       (_FLIP_RULE[mb[0]], mb[1]))
+            if key not in seen:
+                seen.add(key)
+                size *= 2
+        total += size
         checked += 1
-        terms_a, terms_b = rs.reduce_once(word, *ma), rs.reduce_once(word, *mb)
-        if rs.normal_form_int(combine(((1, terms_a), (-1, terms_b)))):
-            unresolved.append(AmbiguityRecord(word, ma, mb, rs.normal_form_int(terms_a),
-                                              rs.normal_form_int(terms_b)))
-        for table, rules in group:
-            image = _image(table, word)
-            a, b = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])
-            covered.add(_key(image, a, b))
-            for shift in shifts:
-                if all(l in shift for l in image):
-                    covered.add(_key(_image(shift, image), a, b))
+        (ra, _), (rb, s) = ma, mb
+        la, lb = _RULES[ra][0], s + _RULES[rb][0]
+        diff = {mid + word[la:]: c for mid, c in rhs[ra, word[:la]].items()}
+        pre, post = word[:s], word[lb:]
+        for mid, c in rhs[rb, word[s:lb]].items():
+            v = pre + mid + post
+            diff[v] = diff.get(v, 0) - c  # normal_form_int skips the zeros
+        if rs.normal_form_int(diff):
+            unresolved.append(AmbiguityRecord(word, ma, mb,
+                                              rs.normal_form_int(rs.reduce_once(word, *ma)),
+                                              rs.normal_form_int(rs.reduce_once(word, *mb))))
     unresolved.sort(key=lambda r: (storage_key(r.word), r.match_a, r.match_b))
-    return unresolved, checked, covered
+    return unresolved, checked, total

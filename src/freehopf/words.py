@@ -16,6 +16,12 @@ from operator import itemgetter
 
 UNIT = ()
 
+# Most levels a domain enumerates (a window's width, or the modulus), whose
+# letters and letter pairs get listed: at n = 2 and 100 levels, axioms and
+# primitives at length 2 take about 2 s and 100 MB, at 1000 the pairs
+# exhaust 800 MB.  Windows and moduli in use hold at most 8 levels.
+MAX_LEVELS = 100
+
 
 @dataclass(frozen=True)
 class LevelDomain:
@@ -72,17 +78,19 @@ class LevelDomain:
         """The concrete levels to enumerate over.
 
         Modular domains ignore the window and return all residues; nat/int
-        domains require an inclusive window (lo, hi).
+        domains require an inclusive window (lo, hi); at most MAX_LEVELS.
         """
         if self.kind == "mod":
-            return tuple(range(self.modulus))
-        if window is None:
+            window = (0, self.modulus - 1)
+        elif window is None:
             raise ValueError("a level window (lo, hi) is required for the %s domain" % self.kind)
         lo, hi = int(window[0]), int(window[1])
         if lo > hi:
             raise ValueError("empty level window %r" % (window,))
         if self.kind == "nat" and lo < 0:
             raise ValueError("window %r dips below 0 in the nat domain" % (window,))
+        if hi - lo >= MAX_LEVELS:
+            raise ValueError("%d levels exceed the ceiling of %d" % (hi - lo + 1, MAX_LEVELS))
         return tuple(range(lo, hi + 1))
 
     def __str__(self):

@@ -21,10 +21,13 @@ oracle_match_at, oracle_reduce_once, oracle_step_entry and
 oracle_rule_instances write the four rewriting rules out one by one, as the
 package did before it derived R2 and R4 as the transposes of R1 and R3.
 oracle_ambiguities, the deduplicated and sorted list of every ambiguity,
-and oracle_verified_symmetries, which tests every candidate letter map,
-are the ambiguity enumeration and symmetry filter that
-freehopf.rewrite.check_confluence ran before it streamed the ambiguities
-of orbit representatives and tested only the generators of its group.
+and oracle_verified_symmetries, which tests every candidate letter map of
+oracle_candidate_symmetries, are the ambiguity enumeration and symmetry
+filter that freehopf.rewrite.check_confluence ran before it streamed the
+ambiguities of orbit representatives and tested only the generators of
+its group; oracle_orbits and oracle_instance_orbits mark the orbits of
+that whole group image by image, as check_confluence and the Hopf-ideal
+certificate did before they keyed each orbit by a canonical form.
 oracle_kernel is the tracked,
 fully reduced elimination that freehopf.linalg.kernel replaced, and
 oracle_tensor_remainder reduces modulo V (x) W in a package Echelon of all
@@ -46,14 +49,14 @@ confluence check, structure maps and axiom residuals.
 
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from math import gcd
 
 from freehopf.analysis import Subspace, _rref_pools, is_subcoalgebra
 from freehopf.hopf import Element
 from freehopf.linalg import Echelon, combine, kernel
 from freehopf.rewrite import (R1, R2, R3, R4, RULE_NAMES, AmbiguityRecord, ConfluenceReport, RuleSet,
-                              _candidate_symmetries, _image, _image_terms, _key, check_confluence)
+                              _FLIP_RULE, _SAME_RULE, _image, _key, check_confluence)
 from freehopf.words import UNIT, storage_key, word_str
 
 
@@ -805,13 +808,73 @@ def oracle_ambiguities(inst):
     return out
 
 
+def oracle_candidate_symmetries(rs, levels):
+    """(letter table, rule map) of each candidate symmetry, identity first,
+    and the positions of the group's generators: every product of the
+    index permutations of 1..n-2, the flip and the mod rotations, as
+    freehopf.rewrite.check_confluence listed them before it built the
+    generators alone."""
+    n, dom, wrap = rs.n, rs.dom, rs.dom.canon
+    if dom.kind == "mod":
+        shifts, centre = range(dom.modulus), 0
+    else:
+        lvls = dom.levels(levels)
+        shifts, centre = (0,), lvls[0] + lvls[-1]
+    letters = rs.alphabet(levels)
+    ident = tuple(range(1, n - 1))
+    out, gens = [], [1, 2][:len(shifts)]  # the flip at 1, the rotation at 2
+    for perm in permutations(ident):
+        if perm != ident and perm in (ident[1::-1] + ident[2:], ident[1:] + ident[:1]):
+            gens.append(len(out))
+        p = (0,) + perm + (n - 1, n)
+        for t in shifts:
+            out.append(({(i, j, r): (p[i], p[j], wrap(r + t)) for i, j, r in letters},
+                        _SAME_RULE))
+            out.append(({(i, j, r): (p[j], p[i], wrap(centre + t - r)) for i, j, r in letters},
+                        _FLIP_RULE))
+    return out, gens
+
+
 def oracle_verified_symmetries(rs, rhs, levels):
-    """Every candidate letter map of freehopf.rewrite._candidate_symmetries
-    that maps every rule instance to a rule instance and commutes with
-    reduce_once on it (rhs is _instance_rhs of the instances), tested one
-    by one, identity first."""
+    """Every candidate letter map of oracle_candidate_symmetries that maps
+    every rule instance to a rule instance and commutes with reduce_once
+    on it (rhs is _instance_rhs of the instances), tested one by one,
+    identity first."""
     return [
-        (table, rules) for table, rules in _candidate_symmetries(rs, levels)[0]
-        if all(rhs.get((rules[rule], _image(table, w))) == _image_terms(table, out)
+        (table, rules) for table, rules in oracle_candidate_symmetries(rs, levels)[0]
+        if all(rhs.get((rules[rule], _image(table, w)))
+               == {_image(table, t): c for t, c in out.items()}
                for (rule, w), out in rhs.items())
     ]
+
+
+def oracle_instance_orbits(inst, group):
+    """The orbits of the rule instances (rule, word) under the letter maps
+    (table, rules) of group, as frozensets."""
+    return {frozenset((rules[rule], _image(table, w)) for table, rules in group)
+            for rule, w in inst}
+
+
+def oracle_orbits(rs, levels, group, translate):
+    """The orbits of the ambiguities of rs's rule instances on the window,
+    as frozensets of their keys: each ambiguity's images under group and,
+    with translate, every translate r -> r+t of an image that stays in the
+    window, marked one by one as freehopf.rewrite.check_confluence did
+    before it keyed each orbit by a canonical form."""
+    lvls = rs.dom.levels(levels)
+    width = len(lvls) - 1 if translate else 0
+    covered, orbits = set(), []
+    for word, ma, mb in oracle_ambiguities(rs.rule_instances(levels)):
+        if _key(word, ma, mb) in covered:
+            continue
+        orbit = set()
+        for table, rules in group:
+            image = _image(table, word)
+            a, b = (rules[ma[0]], ma[1]), (rules[mb[0]], mb[1])
+            for t in range(-width, width + 1):
+                moved = tuple((i, j, r + t) for i, j, r in image)
+                if all(lvls[0] <= l[2] <= lvls[-1] for l in moved):
+                    orbit.add(_key(moved, a, b))
+        covered |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits

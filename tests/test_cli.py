@@ -10,6 +10,7 @@ import pytest
 from freehopf.cli import main
 from freehopf.hopf import FreeHopfAlgebra
 from freehopf.rewrite import MAX_N, RuleSet
+from freehopf.words import MAX_LEVELS
 
 
 def run(capsys, *argv):
@@ -338,3 +339,40 @@ def test_cli_fuzz_never_raises(tmp_path, capsys):
             assert "Traceback" not in err, (argv, err)
             if code == 2:
                 assert err.startswith(("error: ", "usage: ")), (argv, err)
+
+
+def _refuse_lists_over_many_levels(name):
+    # RuleSet.<name>, failing where it would list more than MAX_LEVELS
+    # levels' worth of letters or rule instances
+    original = getattr(RuleSet, name)
+
+    def refuse(self, levels=None):
+        if len(self.dom.levels(levels)) > MAX_LEVELS:
+            raise AssertionError("a list over more than MAX_LEVELS levels was built")
+        return original(self, levels)
+    return refuse
+
+
+@pytest.mark.parametrize("argv", [
+    ("axioms", "--n", "2", "--variant", "free", "--levels=0..1000000", "--maxlen", "2"),
+    ("primitives", "--n", "2", "--variant", "free", "--levels=0..1000000"),
+    ("confluence", "--n", "2", "--variant", "ord:1000000"),
+    ("confluence", "--levels=0..1000000"),
+    ("suite", "confluence", "--levels=0..1000000"),
+])
+def test_levels_above_the_ceiling_are_an_input_error(monkeypatch, capsys, argv):
+    # refused where the levels are enumerated, before the letters or rule
+    # instances of the window are listed
+    for name in ("alphabet", "rule_instances"):
+        monkeypatch.setattr(RuleSet, name, _refuse_lists_over_many_levels(name))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "exceed the ceiling of %d" % MAX_LEVELS in err
+
+
+def test_levels_at_the_ceiling_are_accepted(capsys):
+    code, out, _ = run(capsys, "confluence", "--n", "2", "--levels=0..%d" % (MAX_LEVELS - 1))
+    assert code == 0 and "confluence: OK" in out
+    code, _, err = run(capsys, "confluence", "--n", "2", "--levels=0..%d" % MAX_LEVELS)
+    assert code == 2 and "exceed the ceiling" in err

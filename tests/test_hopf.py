@@ -11,7 +11,8 @@ from freehopf.words import UNIT, LevelDomain
 
 from mutants import (break_one, break_one_nat, double, drop_delta, drop_delta_r1, negate,
                      patch_map, patch_reduce_once, scale_level_one, scale_level_zero, self_term)
-from oracles import oracle_integer_certificate, oracle_verify_axioms
+from oracles import (oracle_candidate_symmetries, oracle_instance_orbits,
+                     oracle_integer_certificate, oracle_verify_axioms)
 
 
 def test_parse_variant():
@@ -366,28 +367,32 @@ def test_certificate_fails_on_broken_rules(monkeypatch, edit, variant, levels, c
 
 
 def _certificate_maps(H):
-    """The rule instances of H's certificate window (0, 2) and the letter
-    maps verified on them."""
+    """The rule instances of H's certificate window (0, 2), the generators
+    of the letter maps verified on them, and every candidate letter map."""
     rs = H.rules
     inst = rs.rule_instances((0, 2))
-    return inst, rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), (0, 2))
+    gens = rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), (0, 2))
+    return inst, gens, oracle_candidate_symmetries(rs, (0, 2))[0]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("variant", [variant for variant, _ in CERT_CONFIGS])
 def test_orbit_certificate_matches_the_all_instance_oracle(monkeypatch, n, variant):
     H = FreeHopfAlgebra(n, variant)
-    inst, group = _certificate_maps(H)
+    inst, gens, group = _certificate_maps(H)
     # every map permutes the letters of the window, so _delta_commutes can
     # map the legs of Delta of a letter, which are letters of its level
     letters = set(H.rules.alphabet((0, 2)))
-    assert all(table.keys() == set(table.values()) == letters for table, _ in group)
-    assert H._delta_commutes(group, (0, 2))
-    # one coproduct residual per orbit, of 32 to 288 instances; on ord the
+    assert gens and all(table.keys() == set(table.values()) == letters for table, _ in group)
+    assert H._delta_commutes(gens, (0, 2)) and H._delta_commutes(group, (0, 2))
+    # one coproduct residual per orbit of the whole group, of 32 to 288
+    # instances, read by every instance from its orbit's first; on ord the
     # level rotations join the index permutations and the flip
-    orbits = [orbit for _, orbit in rewrite._representatives(inst, group)]
+    first = rewrite._orbit_firsts(H.rules, inst, (0, 2), gens)
+    orbits = {frozenset(a for a in inst if first[a] == f) for f in first.values()}
+    assert orbits == oracle_instance_orbits(inst, group)
     per_n = {2: 16, 3: 45} if variant in ("free", "bij") else {2: 12, 3: 36}
-    assert len(orbits) == per_n[n] and sum(map(len, orbits)) == len(inst)
+    assert len(orbits) == per_n[n]
     assert H._integer_certificate() == oracle_integer_certificate(H)
     # the scale_level edits keep confluence.  The letter maps commute with
     # scale_level_one on free and bij, so the certificate checks it orbit
@@ -399,7 +404,8 @@ def test_orbit_certificate_matches_the_all_instance_oracle(monkeypatch, n, varia
         with monkeypatch.context() as m:
             patch_map(m, "_delta_terms", edit)
             H = FreeHopfAlgebra(n, variant)
-            assert H._delta_commutes(_certificate_maps(H)[1], (0, 2)) == commutes
+            _, gens, group = _certificate_maps(H)
+            assert H._delta_commutes(gens, (0, 2)) == H._delta_commutes(group, (0, 2)) == commutes
             checks, work = H._integer_certificate()
             assert checks["delta"] and not checks["confluence"]
             assert (checks, work) == oracle_integer_certificate(H)

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from itertools import product as iproduct
+from math import perm
 
 import pytest
 
@@ -14,11 +15,11 @@ from freehopf.words import LevelDomain
 
 from mutants import (break_grading, break_one, break_one_nat, double_first_index_1,
                      double_selected, drop_delta, drop_delta_r1, patch_reduce_once)
-from oracles import (Ordering, compare_words, oracle_ambiguities, oracle_check_confluence,
-                     oracle_irreducible_count, oracle_match_at, oracle_matches,
-                     oracle_normal_form_int, oracle_normal_form_word, oracle_reduce_once,
-                     oracle_reducible, oracle_rule_instances, oracle_step_entry,
-                     oracle_verified_symmetries)
+from oracles import (Ordering, compare_words, oracle_ambiguities, oracle_candidate_symmetries,
+                     oracle_check_confluence, oracle_instance_orbits, oracle_irreducible_count,
+                     oracle_match_at, oracle_matches, oracle_normal_form_int,
+                     oracle_normal_form_word, oracle_orbits, oracle_reduce_once, oracle_reducible,
+                     oracle_rule_instances, oracle_step_entry, oracle_verified_symmetries)
 
 NAT = LevelDomain.nat()
 INT = LevelDomain.integers()
@@ -429,17 +430,38 @@ def test_confluence_matches_full_check_oracle(n, dom, window):
     assert report.describe()["work"] == {"checked": report.checked, "symmetries": order}
 
 
+# (total, checked, symmetries) at larger n, where the full-check oracle is
+# too slow: the orbits stop growing at n = 6, the totals and the group
+# order 2 (n-2)! (times m mod m) keep growing
+CONFLUENCE_PINNED_LARGE_N = {
+    (5, NAT, (0, 4)): (8700, 421, 12), (5, MOD2, None): (6744, 439, 24),
+    (6, NAT, (0, 4)): (17136, 423, 48), (6, MOD2, None): (13300, 441, 96),
+}
+
+
+@pytest.mark.parametrize("n,dom,window", list(CONFLUENCE_PINNED_LARGE_N))
+def test_confluence_pins_at_larger_n(n, dom, window):
+    report = check_confluence(n, dom, window)
+    assert report.ok
+    assert (report.total, report.checked, report.symmetries) == CONFLUENCE_PINNED_LARGE_N[
+        (n, dom, window)]
+
+
 @pytest.mark.parametrize("n,dom,window", list(CONFLUENCE_PINNED))
 def test_streamed_ambiguities_and_generator_check_match_the_oracles(n, dom, window):
     # streamed from every instance, the ambiguities are the oracle's list,
-    # some twice; the generator check gives the filter's group, in order
+    # some twice; the generators are the candidates' generators, in order,
+    # and pass, as the filter keeps every candidate
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(window)
     streamed = [rewrite._key(*a) for a in rewrite._ambiguities(inst, inst)]
     expected = {rewrite._key(*a) for a in oracle_ambiguities(inst)}
     assert set(streamed) == expected and len(expected) == CONFLUENCE_PINNED[(n, dom, window)][0]
     rhs = rewrite._instance_rhs(rs, inst)
-    assert rewrite._verified_symmetries(rs, rhs, window) == oracle_verified_symmetries(rs, rhs, window)
+    candidates, gens = oracle_candidate_symmetries(rs, window)
+    assert oracle_verified_symmetries(rs, rhs, window) == candidates
+    assert rewrite._verified_symmetries(rs, rhs, window) == [candidates[i] for i in gens]
+    assert len(candidates) == CONFLUENCE_PINNED[(n, dom, window)][1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -448,20 +470,52 @@ def test_representatives_meet_every_orbit(n, dom, window):
     rs = RuleSet(n, dom)
     inst = rs.rule_instances(window)
     rhs = rewrite._instance_rhs(rs, inst)
-    group = rewrite._verified_symmetries(rs, rhs, window)
-    shifts = rewrite._verified_shifts(rs, rhs, window)
-    assert len(group) > 1
-    # one instance kept per letter-map orbit of the instances, the first
-    reps = list(rewrite._representatives(inst, group))
-    orbits = {frozenset((rules[rule], rewrite._image(table, w)) for table, rules in group)
-              for rule, w in inst}
+    gens = rewrite._verified_symmetries(rs, rhs, window)
+    shift = rewrite._verified_shifts(rs, rhs, window)
+    assert gens and shift == (dom.kind != "mod")
+    # each instance is mapped to the first instance of its orbit under the
+    # whole candidate group, in instance order
+    first = rewrite._orbit_firsts(rs, inst, window, gens)
+    orbits = oracle_instance_orbits(inst, oracle_candidate_symmetries(rs, window)[0])
     order = {a: k for k, a in enumerate(inst)}
     assert len(orbits) < len(inst)
-    assert reps == sorted(((min(orbit, key=order.get), orbit) for orbit in orbits),
-                          key=lambda rep: order[rep[0]])
-    _, checked, covered = rewrite._resolve(rs, inst, group, shifts)
-    assert covered == {rewrite._key(*a) for a in oracle_ambiguities(inst)}
+    assert list(first) == inst
+    assert first == {a: min(orbit, key=order.get) for orbit in orbits for a in orbit}
+    _, checked, total = rewrite._resolve(rs, inst, rhs, window, gens, shift)
+    assert total == len(oracle_ambiguities(inst))
     assert checked == CONFLUENCE_PINNED[(n, dom, window)][2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dom,window", [(NAT, (0, 6)), (INT, (-2, 3)), (MOD2, None),
+                                        (MOD4, None), (MOD6, None)])
+def test_orbit_keys_match_the_marked_orbits(n, dom, window):
+    # grouping the ambiguities by canonical key, joined with the key of the
+    # flip image, gives the orbits that marking every image of the whole
+    # candidate group and its in-window translates gives, and each key's
+    # class has (n-2)!/(n-2-k)! index images, for the k distinct indices
+    # <= n-2 of the word, times m rotations or the translates that fit
+    rs = RuleSet(n, dom)
+    shift = dom.kind != "mod"
+    canon = rewrite._canonical(rs, window, True, shift)
+    flip = rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, rs.rule_instances(window)),
+                                        window)[0][0]
+    lvls = dom.levels(window)
+    by_key = {}
+    for word, ma, mb in oracle_ambiguities(rs.rule_instances(window)):
+        cw, size = canon(word)
+        key = rewrite._key(cw, ma, mb)
+        other = rewrite._key(canon(rewrite._image(flip, word))[0],
+                             (rewrite._FLIP_RULE[ma[0]], ma[1]), (rewrite._FLIP_RULE[mb[0]], mb[1]))
+        k = len({x for i, j, _ in word for x in (i, j) if x <= n - 2})
+        span = max(l[2] for l in word) - min(l[2] for l in word)
+        room = len(lvls) - span if shift else dom.modulus
+        assert size == perm(n - 2, k) * room
+        by_key.setdefault(frozenset((key, other)), set()).add((rewrite._key(word, ma, mb), size))
+    orbits = oracle_orbits(rs, window, oracle_candidate_symmetries(rs, window)[0], shift)
+    assert {frozenset(a for a, _ in members) for members in by_key.values()} == set(orbits)
+    for keys, members in by_key.items():
+        assert {size for _, size in members} == {len(members) // len(keys)}
 
 
 def test_confluence_leaves_shared_cache_alone():
@@ -530,8 +584,9 @@ def test_confluence_falls_back_when_a_whole_orbit_breaks(monkeypatch, dom, windo
     rs = RuleSet(2, dom)
     rhs = rewrite._instance_rhs(rs, rs.rule_instances(window))
     order = CONFLUENCE_PINNED[(2, dom, window)][1]
-    assert len(rewrite._verified_symmetries(rs, rhs, window)) == order
-    assert bool(rewrite._verified_shifts(rs, rhs, window)) == (dom.kind != "mod")
+    assert len(oracle_verified_symmetries(rs, rhs, window)) == order
+    assert rewrite._verified_symmetries(rs, rhs, window)
+    assert rewrite._verified_shifts(rs, rhs, window) == (dom.kind != "mod")
     report = check_confluence(2, dom, window)
     oracle = oracle_check_confluence(2, dom, window)
     assert _fields(report) == _fields(oracle)
@@ -545,9 +600,13 @@ def test_confluence_rejects_symmetries_a_broken_instance_breaks(monkeypatch):
     # with that, so every orbit is a single ambiguity
     rs = RuleSet(2, MOD4)
     inst = rs.rule_instances()
-    assert len(rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), None)) == 8
+    rhs = rewrite._instance_rhs(rs, inst)
+    assert len(oracle_verified_symmetries(rs, rhs, None)) == 8
+    assert rewrite._verified_symmetries(rs, rhs, None)
     patch_reduce_once(monkeypatch, break_one)
-    assert len(rewrite._verified_symmetries(rs, rewrite._instance_rhs(rs, inst), None)) == 1
+    rhs = rewrite._instance_rhs(rs, inst)
+    assert len(oracle_verified_symmetries(rs, rhs, None)) == 1
+    assert rewrite._verified_symmetries(rs, rhs, None) == []
     report = check_confluence(2, MOD4)
     oracle = oracle_check_confluence(2, MOD4)
     assert _fields(report) == _fields(oracle)
@@ -565,7 +624,7 @@ def test_confluence_when_a_generator_fails(monkeypatch):
     rhs = rewrite._instance_rhs(rs, rs.rule_instances())
     passing = oracle_verified_symmetries(rs, rhs, None)
     assert len(passing) == 8
-    assert rewrite._verified_symmetries(rs, rhs, None) == passing[:1]
+    assert rewrite._verified_symmetries(rs, rhs, None) == []
     report = check_confluence(4, MOD4)
     oracle = oracle_check_confluence(4, MOD4)
     assert report.unresolved
@@ -588,8 +647,8 @@ def test_generator_check_matches_the_filter_on_broken_rules(monkeypatch, edit, n
     rs = RuleSet(n, dom)
     rhs = rewrite._instance_rhs(rs, rs.rule_instances())
     passing = oracle_verified_symmetries(rs, rhs, None)
-    assert len(passing) == order < len(rewrite._candidate_symmetries(rs, None)[0])
-    assert rewrite._verified_symmetries(rs, rhs, None) == passing[:1]
+    assert len(passing) == order < len(oracle_candidate_symmetries(rs, None)[0])
+    assert rewrite._verified_symmetries(rs, rhs, None) == []
 
 
 def test_confluence_rejects_translations_a_break_at_one_level_breaks(monkeypatch):
@@ -598,17 +657,15 @@ def test_confluence_rejects_translations_a_break_at_one_level_breaks(monkeypatch
     # those of the letter maps alone
     rs = RuleSet(2, NAT)
     inst = rs.rule_instances((0, 6))
-    rhs = rewrite._instance_rhs(rs, inst)
-    shifts = [rewrite._shift_table(rs, (0, 6), t) for t in range(-6, 7) if t]
-    assert rewrite._verified_shifts(rs, rhs, (0, 6)) == shifts
+    assert rewrite._verified_shifts(rs, rewrite._instance_rhs(rs, inst), (0, 6)) is True
     patch_reduce_once(monkeypatch, break_one_nat)
-    assert rewrite._verified_shifts(rs, rewrite._instance_rhs(rs, inst), (0, 6)) == []
+    assert rewrite._verified_shifts(rs, rewrite._instance_rhs(rs, inst), (0, 6)) is False
     report = check_confluence(2, NAT, (0, 6))
     oracle = oracle_check_confluence(2, NAT, (0, 6))
     assert _fields(report) == _fields(oracle)
     assert report.unresolved
     _assert_same_report(report, oracle)
-    monkeypatch.setattr(rewrite, "_verified_shifts", lambda rs, rhs, levels: ())
+    monkeypatch.setattr(rewrite, "_verified_shifts", lambda rs, rhs, levels: False)
     assert report.checked == check_confluence(2, NAT, (0, 6)).checked
 
 
